@@ -52,9 +52,9 @@ Three properties of the generated module matter for the paper's cost claims:
 
 * **Sharded folds.**  The shared ``_fold`` helper detects hash-partitioned
   tables (:class:`~repro.compiler.sharding.ShardedMapTable`) and delegates to
-  a per-shard fold (``_fold_sharded``, injected at module construction):
-  increments split by target-key hash, shard dicts folded concurrently,
-  slice-index maintenance journalled by the workers.  Plain-dict map
+  a sharded fold (``_fold_sharded``, injected at module construction):
+  increments routed by target-key hash through the table's shard backend,
+  slice-index maintenance journalled by the fold.  Plain-dict map
   environments never reach the branch, so unsharded sessions keep the exact
   in-line fold loops.
 
@@ -83,7 +83,6 @@ from repro.compiler.cost import (
     trigger_specialization,
 )
 from repro.compiler.indexes import IndexSpecs, SliceIndexes, compute_index_specs
-from repro.compiler.partition.backends import generated_rmap_groups
 from repro.compiler.sharding import ShardedMapTable, make_generated_fold_sharded
 from repro.compiler.triggers import BatchTrigger, Statement, Trigger, TriggerProgram
 from repro.core.delta import DELTA_POOL_LIMIT
@@ -110,7 +109,7 @@ _PYTHON_OPS = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="
 _RESERVED_NAMES = (
     "maps", "values", "values_list", "relation", "sign", "updates",
     "_new", "_fkey", "_chm", "_CH", "_IDX", "_TRK", "_sk", "_key", "_old",
-    "_delta", "_dk", "_dv", "_vals", "_rval", "_rmap_groups", "_total", "_y",
+    "_delta", "_dk", "_dv", "_vals", "_total", "_y",
 )
 
 
@@ -313,10 +312,6 @@ class GeneratedTriggers:
             # partition tier's backend (process workers fold with the
             # session ring); unused by pure-ring modules.
             "_fold_sharded_int": make_generated_fold_sharded(INTEGER_RING, local=True),
-            # Recompute fan-out over the partition tier: tracked
-            # nested-aggregate groups are re-evaluated through the target
-            # table's shard backend when one is attached (serially otherwise).
-            "_rmap_groups": generated_rmap_groups,
             # The specialized apply_batch groups the whole batch with one
             # C-level Counter.update over (relation, sign, values) triples.
             "_Counter": Counter,
@@ -920,9 +915,10 @@ def _emit_fold(
     writer.emit(f"            if {delta_nonzero}:")
     writer.emit("                _trk.add(_key)")
     writer.emit("    if type(_table) is _SHARDED:")
-    writer.emit("        # Hash-partitioned table: per-shard folds (parallel when")
-    writer.emit("        # large, unless the shard-race detector forced this")
-    writer.emit("        # statement serial), index maintenance journalled by the workers.")
+    writer.emit("        # Hash-partitioned table: the fold runs through the table's shard")
+    writer.emit("        # backend (inline unless large enough for process workers and not")
+    writer.emit("        # forced serial by the shard-race detector), index maintenance")
+    writer.emit("        # journalled by the fold.")
     writer.emit(f"        {sharded}(_table, _acc, _name, _specs, _IDX, _serial)")
     writer.emit("        return")
     writer.emit("    if _IDX is None or _specs is None:")
@@ -1295,11 +1291,10 @@ def _generate_recomputes(
             body = f"_rbody{rindex}"
             names.reserve(group_key)
             names.reserve(body)
-            # The per-group re-evaluation as a nested function: evaluation is
-            # read-only (the body never consults its own target), so
-            # _rmap_groups may fan the calls out over the target table's shard
-            # backend; every diff is applied serially afterwards — identical
-            # state and CDC at any backend.
+            # The per-group re-evaluation as a nested function.  Evaluation
+            # is read-only and never consults its own target, so applying
+            # each group's diff right after evaluating it gives the same
+            # state and CDC as evaluating every group first.
             writer.emit(f"def {body}({group_key}):")
             writer.block()
             key_locals = [names(key) for key in recompute.target_keys]
@@ -1312,11 +1307,9 @@ def _generate_recomputes(
             )
             writer.emit(f"return {accumulator}")
             writer.dedent()
+            writer.emit(f"for {group_key} in {affected}:")
             writer.emit(
-                f"for {group_key}, _rval in _rmap_groups({target_table}, {affected}, {body}):"
-            )
-            writer.emit(
-                f"    _rapply({target_table}, {group_key}, _rval, "
+                f"    _rapply({target_table}, {group_key}, {body}({group_key}), "
                 f"{recompute.target!r}, {spec}, _IDX, _CH, {trk_expr})"
             )
         else:

@@ -1,22 +1,20 @@
 """The distributed-ready partition tier: pluggable shard backends.
 
 ``backends`` defines the :class:`~repro.compiler.partition.backends.ShardBackend`
-protocol and its three placements (inline / thread / process); ``worker``
-is the per-shard worker-process loop the process backend drives.  The
-partitioner itself (key→shard hashing, :class:`ShardedMapTable`) stays in
+protocol and its two placements (inline / process); ``worker`` is the
+per-shard worker-process loop the process backend drives.  The partitioner
+itself (key→shard hashing, :class:`ShardedMapTable`) stays in
 :mod:`repro.compiler.sharding` — this package only decides where the
 per-shard work runs.
 """
 
 from repro.compiler.partition.backends import (
     BACKEND_NAMES,
-    MIN_PARALLEL_GROUPS,
+    MIN_PARALLEL_KEYS,
     InlineShardBackend,
     ProcessShardBackend,
     ShardBackend,
-    ThreadShardBackend,
     default_shard_backend,
-    generated_rmap_groups,
     make_shard_backend,
     process_fold_capable,
     resolve_shard_backend,
@@ -24,13 +22,11 @@ from repro.compiler.partition.backends import (
 
 __all__ = [
     "BACKEND_NAMES",
-    "MIN_PARALLEL_GROUPS",
+    "MIN_PARALLEL_KEYS",
     "InlineShardBackend",
     "ProcessShardBackend",
     "ShardBackend",
-    "ThreadShardBackend",
     "default_shard_backend",
-    "generated_rmap_groups",
     "make_shard_backend",
     "process_fold_capable",
     "resolve_shard_backend",

@@ -1,17 +1,13 @@
-"""Pluggable shard backends: who runs the per-shard folds, and where.
+"""Pluggable shard backends: where the per-shard folds run.
 
-PR 5's sharding baked one execution strategy into the fold path — a
-process-wide thread pool.  This module lifts that choice into a narrow
-:class:`ShardBackend` protocol so the partition tier can place shard state
+This module lifts the placement of a sharded fold into a narrow
+:class:`ShardBackend` protocol, so the partition tier can place shard state
 and shard work independently of the coordinator:
 
 ``inline``
     Every fold runs serially on the calling thread, routed per key.  Zero
-    dispatch overhead; the baseline the others must match bit-for-bit.
-``thread``
-    The PR 5 strategy: per-shard fold jobs on a lazily created thread pool.
-    Scales only on free-threaded builds, but costs nothing when it cannot
-    (small folds stay inline) — the default.
+    dispatch overhead; the baseline the others must match bit-for-bit — the
+    default.
 ``process``
     Long-lived worker processes, one per shard, each owning a mirror of its
     shard's dicts (:mod:`repro.compiler.partition.worker`).  The coordinator
@@ -30,13 +26,10 @@ applies, restores, scalar folds) bump them, and the backend re-ships a
 shard's contents before the next fold that touches it.  The fold path itself
 keeps both sides in lockstep without bumps.
 
-Recomputes ride the same tier: :meth:`ShardBackend.map_groups` fans the
-per-group re-evaluation loop of tracked nested aggregates out over the
-backend's workers.  Group evaluation reads *cross-shard* map state (an
-affected group's slice spans arbitrary keys), which lives at the
-coordinator — so ``process`` deliberately evaluates groups on coordinator
-threads rather than shipping table state wholesale; only the fold path pays
-a process hop.
+Recomputes (the per-group re-evaluation of tracked nested aggregates) are
+not placed by the backend: group evaluation reads *cross-shard* map state,
+which lives at the coordinator, so both executors evaluate the affected
+groups serially in place.
 """
 
 from __future__ import annotations
@@ -44,33 +37,25 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
-import time
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.algebra.semirings import BUILTIN_SEMIRINGS, Semiring
 from repro.compiler.indexes import journal_from_wire
-from repro.compiler.partition.dispatch import make_dispatch_policy
-from repro.compiler.sharding import (
-    MIN_PARALLEL_KEYS,
-    ShardedMapTable,
-    fold_shards_threaded,
-    get_executor,
-    parallel_enabled,
-)
+from repro.compiler.sharding import ShardedMapTable, fold_table_inline
 
 MapTable = Dict[Tuple[Any, ...], Any]
 
-#: Recompute fan-out threshold: affected-group sets smaller than this are
-#: re-evaluated serially — per-job dispatch would dominate.
-MIN_PARALLEL_GROUPS = 16
+#: The process backend's dispatch gate: increment maps smaller than this are
+#: folded inline on the coordinator — the worker round-trip would dominate.
+MIN_PARALLEL_KEYS = 64
 
-BACKEND_NAMES = ("inline", "thread", "process")
+BACKEND_NAMES = ("inline", "process")
 
 
 def default_shard_backend() -> str:
     """The process-wide default backend (the ``REPRO_SHARD_BACKEND`` knob)."""
-    value = os.environ.get("REPRO_SHARD_BACKEND", "thread").strip().lower()
-    return value if value in BACKEND_NAMES else "thread"
+    value = os.environ.get("REPRO_SHARD_BACKEND", "inline").strip().lower()
+    return value if value in BACKEND_NAMES else "inline"
 
 
 def resolve_shard_backend(name: Optional[str]) -> str:
@@ -88,102 +73,56 @@ def resolve_shard_backend(name: Optional[str]) -> str:
 def process_fold_capable(workers: int) -> bool:
     """Whether process workers can *speed up* folds on this host.
 
-    Unlike :func:`~repro.compiler.sharding.parallel_fold_capable` this does
-    not require a free-threaded build — separate processes sidestep the GIL —
-    only enough cores and parallel dispatch not being forced off.
+    Separate processes sidestep the GIL, so this only asks for enough cores.
     Correctness never depends on it; it gates throughput assertions.
     """
-    return parallel_enabled() and (os.cpu_count() or 1) >= workers
+    return (os.cpu_count() or 1) >= workers
 
 
 def make_shard_backend(
-    name: Optional[str], shards: int, ring: Semiring, dispatch=None
+    name: Optional[str], shards: int, ring: Semiring
 ) -> Optional["ShardBackend"]:
     """Construct the backend for a shard configuration (``None`` at shards=1).
 
     Unsharded sessions keep plain dict tables and the pre-sharding code
-    path — there is no tier to configure.  ``dispatch`` picks the mode-
-    selection policy (``"static"``/``"adaptive"``, a ready
-    :class:`~repro.compiler.partition.dispatch.DispatchPolicy`, or ``None``
-    for the ``REPRO_SHARD_DISPATCH`` default).
+    path — there is no tier to configure.
     """
     resolved = resolve_shard_backend(name)
     if shards <= 1:
         return None
-    cls = {
-        "inline": InlineShardBackend,
-        "thread": ThreadShardBackend,
-        "process": ProcessShardBackend,
-    }[resolved]
-    return cls(shards, ring, dispatch=dispatch)
+    cls = InlineShardBackend if resolved == "inline" else ProcessShardBackend
+    return cls(shards, ring)
 
 
 class ShardBackend:
     """The partition tier's execution protocol.
 
-    A backend owns *where* per-shard fold jobs and per-group recompute jobs
-    run; the coordinator owns partitioning, CDC, tracked-source accumulation
-    and slice-index maintenance, so every backend produces byte-identical
-    state and ``on_change`` payloads.  ``min_parallel_keys`` is the inline
-    threshold (overridable so tests can force the dispatch path with small
-    batches).
+    A backend owns *where* a sharded fold runs; the coordinator owns
+    partitioning, CDC, tracked-source accumulation and slice-index
+    maintenance, so every backend produces byte-identical state and
+    ``on_change`` payloads.  The base placement folds inline on the calling
+    thread.  ``decisions`` tallies where each fold ran (``inline``,
+    ``forced-inline`` or ``process``) for
+    :meth:`~repro.session.Session.dispatch_statistics`.
     """
 
-    name = "?"
+    name = "inline"
 
-    def __init__(
-        self,
-        shards: int,
-        ring: Semiring,
-        min_parallel_keys: Optional[int] = None,
-        dispatch=None,
-    ):
+    def __init__(self, shards: int, ring: Semiring):
         self.shards = max(1, int(shards))
         self.ring = ring
-        self.min_parallel_keys = (
-            MIN_PARALLEL_KEYS if min_parallel_keys is None else int(min_parallel_keys)
-        )
-        self.min_parallel_groups = MIN_PARALLEL_GROUPS
-        #: The mode-selection policy.  Static keeps the threshold gates above
-        #: verbatim; adaptive lets the policy pick per batch from measured
-        #: cost and the thresholds become irrelevant.  Either way every mode
-        #: runs the same fold code, so results are byte-identical.
-        self.dispatch = make_dispatch_policy(dispatch)
-        self.adaptive = self.dispatch.adaptive
+        self.decisions: Dict[str, int] = {}
 
-    def wants_groups(self, count: int) -> bool:
-        """Whether a recompute fan-out of ``count`` groups should route
-        through :meth:`map_groups` (where the dispatch policy decides) rather
-        than be evaluated serially in place by the caller."""
-        if self.adaptive:
-            return count >= 2
-        return count >= self.min_parallel_groups
+    def record(self, mode: str) -> None:
+        self.decisions[mode] = self.decisions.get(mode, 0) + 1
 
     # -- the fold path ------------------------------------------------------
 
     def fold_table(
-        self,
-        table: ShardedMapTable,
-        acc: Mapping[Tuple[Any, ...], Any],
-        journal: bool,
-        fold_shard: Callable,
-        fold_inline: Callable,
-        sink: Callable,
-        force_inline: bool = False,
-        name: Optional[str] = None,
+        self, table, acc, journal, fold_inline, sink, force_inline=False, name=None
     ) -> None:
-        raise NotImplementedError
-
-    # -- the recompute path -------------------------------------------------
-
-    def map_groups(self, fn: Callable[[Any], Any], groups: Sequence[Any]) -> List[Any]:
-        """Evaluate ``fn`` over every group, returning results in order.
-
-        Exceptions are captured per group and the first (in group order) is
-        re-raised only after every job finished — evaluation happens before
-        anything is applied, so a failed group never leaves partial state.
-        """
-        return [fn(group) for group in groups]
+        self.record("forced-inline" if force_inline else "inline")
+        fold_table_inline(table, acc, journal, fold_inline, sink)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -203,115 +142,22 @@ class ShardBackend:
 class InlineShardBackend(ShardBackend):
     """Serial folds on the calling thread — the zero-overhead baseline."""
 
-    name = "inline"
 
-    def fold_table(
-        self, table, acc, journal, fold_shard, fold_inline, sink,
-        force_inline=False, name=None,
-    ) -> None:
-        self.dispatch.record("forced-inline" if force_inline else "inline")
-        added, removed, error = fold_inline(table.shards, table.shard_count, acc, journal)
-        if journal and (added or removed):
-            sink(added, removed)
-        if error is not None:
-            raise error
-
-
-class ThreadShardBackend(ShardBackend):
-    """Per-shard fold jobs on the shared lazy thread pool (the PR 5 strategy)."""
-
-    name = "thread"
-
-    def fold_table(
-        self, table, acc, journal, fold_shard, fold_inline, sink,
-        force_inline=False, name=None,
-    ) -> None:
-        if force_inline:
-            self.dispatch.record("forced-inline")
-        elif not self.adaptive:
-            # The PR 8 static gate, verbatim (fold_shards_threaded inlines
-            # below the threshold itself) — recorded, never changed.
-            self.dispatch.record(
-                "thread" if len(acc) >= self.min_parallel_keys else "inline"
-            )
-        else:
-            modes = ("inline", "thread") if parallel_enabled() else ("inline",)
-            mode = self.dispatch.choose(name, len(acc), modes)
-            self.dispatch.record(mode)
-            started = time.perf_counter()
-            fold_shards_threaded(
-                table, acc, journal, fold_shard, fold_inline, sink,
-                force_inline=(mode == "inline"), min_parallel_keys=0,
-            )
-            self.dispatch.observe(name, mode, len(acc), time.perf_counter() - started)
-            return
-        fold_shards_threaded(
-            table, acc, journal, fold_shard, fold_inline, sink,
-            force_inline=force_inline, min_parallel_keys=self.min_parallel_keys,
-        )
-
-    def map_groups(self, fn, groups):
-        groups = list(groups)
-        if not self.adaptive:
-            if len(groups) < max(2, self.min_parallel_groups) or not parallel_enabled():
-                return [fn(group) for group in groups]
-            return self._map_groups_threaded(fn, groups)
-        if len(groups) < 2 or not parallel_enabled():
-            modes = ("inline",)
-        else:
-            modes = ("inline", "thread")
-        mode = self.dispatch.choose("·groups", len(groups), modes)
-        self.dispatch.record(mode)
-        started = time.perf_counter()
-        if mode == "thread":
-            results = self._map_groups_threaded(fn, groups)
-        else:
-            results = [fn(group) for group in groups]
-        self.dispatch.observe("·groups", mode, len(groups), time.perf_counter() - started)
-        return results
-
-    def _map_groups_threaded(self, fn, groups: List[Any]) -> List[Any]:
-        workers = self.shards
-        # Strided chunks: one job per worker, reassembled in group order.
-        chunks = [(start, groups[start::workers]) for start in range(workers)]
-        chunks = [(start, chunk) for start, chunk in chunks if chunk]
-
-        def run_chunk(start: int, chunk: List[Any]):
-            out = []
-            for group in chunk:
-                try:
-                    out.append((fn(group), None))
-                except Exception as exc:  # captured; first re-raised in order
-                    out.append((None, exc))
-            return start, out
-
-        results: List[Any] = [None] * len(groups)
-        errors: List[Optional[BaseException]] = [None] * len(groups)
-        for start, out in get_executor(workers).run(run_chunk, chunks):
-            for offset, (value, error) in enumerate(out):
-                position = start + offset * workers
-                results[position] = value
-                errors[position] = error
-        for error in errors:
-            if error is not None:
-                raise error
-        return results
-
-
-class ProcessShardBackend(ThreadShardBackend):
+class ProcessShardBackend(ShardBackend):
     """Long-lived worker processes owning per-shard table mirrors.
 
     Workers are spawned lazily on the first fold large enough to dispatch
     (one per shard, daemonic, reused for the session's life), so sessions
-    that never cross the inline threshold never fork.  Recompute fan-out is
-    inherited from :class:`ThreadShardBackend` — group evaluation reads
-    cross-shard coordinator state (see the module docstring).
+    that never cross the inline threshold (``min_parallel_keys``, an
+    attribute tests lower to force worker dispatch on small batches) never
+    fork.
     """
 
     name = "process"
 
-    def __init__(self, shards, ring, min_parallel_keys=None, dispatch=None):
-        super().__init__(shards, ring, min_parallel_keys, dispatch=dispatch)
+    def __init__(self, shards, ring):
+        super().__init__(shards, ring)
+        self.min_parallel_keys = MIN_PARALLEL_KEYS
         self._workers: Optional[List[Tuple[Any, Any]]] = None  # (process, conn)
         self._synced: Dict[str, Tuple[ShardedMapTable, List[int]]] = {}
         self._lock = threading.Lock()
@@ -403,49 +249,20 @@ class ProcessShardBackend(ThreadShardBackend):
     # -- the fold path ------------------------------------------------------
 
     def fold_table(
-        self, table, acc, journal, fold_shard, fold_inline, sink,
-        force_inline=False, name=None,
+        self, table, acc, journal, fold_inline, sink, force_inline=False, name=None
     ) -> None:
-        if self.adaptive and not force_inline:
-            # Worker dispatch needs an addressable mirror: a named map whose
-            # facade shard count matches the worker pool.  Thread folds run
-            # on coordinator shards, so they (like inline) go stale-mark.
-            modes = ["inline"]
-            if parallel_enabled():
-                modes.append("thread")
-                if name is not None and table.shard_count == self.shards:
-                    modes.append("process")
-            mode = self.dispatch.choose(name, len(acc), tuple(modes))
-            self.dispatch.record(mode)
-            started = time.perf_counter()
-            if mode == "process":
-                self._fold_on_workers(table, name, acc, journal, sink)
-            else:
-                fold_shards_threaded(
-                    table, acc, journal, fold_shard, fold_inline, sink,
-                    force_inline=(mode == "inline"), min_parallel_keys=0,
-                )
-                self._mark_dirty(name, table, acc)
-            self.dispatch.observe(name, mode, len(acc), time.perf_counter() - started)
-            return
         if (
             force_inline
             or name is None
             or len(acc) < self.min_parallel_keys
-            or not parallel_enabled()
             or table.shard_count != self.shards
         ):
-            self.dispatch.record("forced-inline" if force_inline else "inline")
-            added, removed, error = fold_inline(
-                table.shards, table.shard_count, acc, journal
-            )
-            self._mark_dirty(name, table, acc)
-            if journal and (added or removed):
-                sink(added, removed)
-            if error is not None:
-                raise error
+            try:
+                super().fold_table(table, acc, journal, fold_inline, sink, force_inline)
+            finally:
+                self._mark_dirty(name, table, acc)
             return
-        self.dispatch.record("process")
+        self.record("process")
         self._fold_on_workers(table, name, acc, journal, sink)
 
     def _fold_on_workers(self, table, name, acc, journal, sink) -> None:
@@ -512,32 +329,13 @@ class ProcessShardBackend(ThreadShardBackend):
         return error
 
 
-def generated_rmap_groups(table, groups, fn) -> List[Tuple[Any, Any]]:
-    """The ``_rmap_groups`` helper injected into generated trigger modules.
-
-    Fans a tracked recompute's affected-group evaluation out over the target
-    table's shard backend, returning ``(group, value)`` pairs; plain-dict
-    tables, backend-less sharded tables and small group sets evaluate
-    serially in place — byte-identical results either way (evaluation is
-    read-only; the caller applies every diff afterwards).
-    """
-    groups = list(groups)
-    backend = getattr(table, "backend", None)
-    if backend is None or not backend.wants_groups(len(groups)):
-        return [(group, fn(group)) for group in groups]
-    return list(zip(groups, backend.map_groups(fn, groups)))
-
-
 __all__ = [
     "BACKEND_NAMES",
-    "MIN_PARALLEL_GROUPS",
+    "MIN_PARALLEL_KEYS",
     "InlineShardBackend",
     "ProcessShardBackend",
     "ShardBackend",
-    "ThreadShardBackend",
     "default_shard_backend",
-    "generated_rmap_groups",
-    "make_dispatch_policy",
     "make_shard_backend",
     "process_fold_capable",
     "resolve_shard_backend",

@@ -32,13 +32,14 @@ without a compiled batch trigger.
 
 With ``shards=N`` (N > 1) the map tables are hash-partitioned
 (:class:`~repro.compiler.sharding.ShardedMapTable`) and every batch fold
-splits its increments by target-key hash, folding the shards concurrently on
-a thread pool — folds into different keys are independent, so the partition
-gives each worker a disjoint slice of the table.  CDC and tracked-source
-accumulation run serially before the workers (they depend only on the
-increment map), and slice-index maintenance is journalled by the workers and
-replayed after the join.  ``shards=1`` (the default) keeps plain dict tables
-and exactly the unsharded code path.
+routes its increments by target-key hash through the partition tier's shard
+backend (inline on the coordinator, or per-shard on process workers) —
+folds into different keys are independent, so the partition gives each
+shard a disjoint slice of the table.  CDC and tracked-source accumulation
+run serially before the fold (they depend only on the increment map), and
+slice-index maintenance is journalled by the fold and replayed afterwards.
+``shards=1`` (the default) keeps plain dict tables and exactly the unsharded
+code path.
 
 Both entry points accept an optional ``changes`` argument — a mapping from
 *watched* map names to accumulator dicts — used for change-data-capture: every
@@ -68,9 +69,8 @@ from repro.compiler.partition.backends import ShardBackend, make_shard_backend
 from repro.compiler.sharding import (
     ShardedMapTable,
     fold_sharded_table,
-    fold_shards_threaded,
+    fold_table_inline,
     make_inline_shard_fold,
-    make_shard_fold,
     resolve_shard_count,
 )
 from repro.compiler.triggers import (
@@ -213,10 +213,8 @@ class TriggerRuntime:
         #: ``(relation, sign)`` group per flush (ROADMAP "hot-loop constants").
         self._delta_buffers: List[MapTable] = []
         if self.shards > 1:
-            self._shard_fold = make_shard_fold(ring)
             self._shard_fold_inline = make_inline_shard_fold(ring)
             # Counter maps fold in ℤ whatever the session ring is.
-            self._shard_fold_int = make_shard_fold(INTEGER_RING)
             self._shard_fold_inline_int = make_inline_shard_fold(INTEGER_RING)
         # The evaluator needs a Database only for its coefficient structure and
         # declared schema; compiled right-hand sides never read base relations.
@@ -1021,14 +1019,14 @@ class TriggerRuntime:
         tracked_sources: Optional[Dict[str, set]],
         serial: bool = False,
     ) -> None:
-        """The sharded fold: split increments by key hash, fold shards concurrently.
+        """The sharded fold: route increments by key hash through the shard backend.
 
         Change-data-capture and tracked-source accumulation depend only on
         the increment map, so they are folded serially up front — sharded and
         unsharded sessions emit identical ``on_change`` payloads.  The slice
         indexes are bucketed by bound *prefix* (which does not respect the
-        key-hash partition), so each worker journals its inserted/removed
-        keys and the journal replays into the shared index after the join.
+        key-hash partition), so the fold journals its inserted/removed keys
+        and the journal replays into the shared index afterwards.
         """
         if not increments:
             return
@@ -1061,23 +1059,14 @@ class TriggerRuntime:
         if counter:
             # Counter folds run in ℤ whatever the session ring is.  The
             # process backend's workers fold with the session ring, so counter
-            # maps stay on coordinator shards (thread pool / inline) and never
-            # gain a worker mirror — no staleness to track.
-            fold_shards_threaded(
-                table,
-                increments,
-                journal,
-                self._shard_fold_int,
-                self._shard_fold_inline_int,
-                sink,
-                force_inline=serial,
-            )
+            # maps fold inline on coordinator shards and never gain a worker
+            # mirror — no staleness to track.
+            fold_table_inline(table, increments, journal, self._shard_fold_inline_int, sink)
             return
         fold_sharded_table(
             table,
             increments,
             journal,
-            self._shard_fold,
             self._shard_fold_inline,
             sink,
             force_inline=serial,
@@ -1114,19 +1103,10 @@ class TriggerRuntime:
                     value = ring.add(value, part)
                 return value
 
-            # Affected groups are per-group independent (they only read source
-            # maps, never the target), so large sets fan out over the shard
-            # backend — the same tier the batch folds dispatch through.  All
-            # values are computed before any diff is applied either way, so
-            # the fold below sees identical state at every backend.
-            group_list = list(groups)
-            backend = self.shard_backend
-            if backend is not None and backend.wants_groups(len(group_list)):
-                values = backend.map_groups(evaluate_group, group_list)
-            else:
-                values = [evaluate_group(group) for group in group_list]
-            new_values = dict(zip(group_list, values))
-            affected = group_list
+            # Every value is computed before any diff is applied, so the fold
+            # below sees identical state at every shard count and backend.
+            new_values = {group: evaluate_group(group) for group in groups}
+            affected = new_values
         else:
             result = evaluate(recompute.as_aggregate(), self._environment, maps=maps)
             for record, value in result.items():

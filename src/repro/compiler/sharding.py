@@ -1,14 +1,13 @@
-"""Sharded map tables and parallel batch folds (DBToaster-style partitioning).
+"""Sharded map tables and per-shard batch folds (DBToaster-style partitioning).
 
 Koch's compiled triggers make every batch update a set of per-key folds:
 PR 4's relation-valued batch deltas touch each distinct target key exactly
 once, and two folds into *different* keys never read each other's state.
 That independence is what this module exploits — the map tables are
-hash-partitioned by key into ``N`` shards, a pre-aggregated increment map is
-split by target-key hash, and the per-shard folds run concurrently on a
-thread pool, each worker owning its shard's dict outright (write isolation is
-structural, not lock-based: a key's shard is a pure function of its hash, so
-no two workers ever touch the same dict).
+hash-partitioned by key into ``N`` shards, and a pre-aggregated increment map
+can be split by target-key hash into per-shard parts that fold without
+touching each other's dicts (write isolation is structural, not lock-based:
+a key's shard is a pure function of its hash).
 
 Three pieces:
 
@@ -17,41 +16,34 @@ Three pieces:
   facade entirely and works on the shard dicts directly.  ``shards=1``
   sessions never construct one — the runtime keeps plain dicts and today's
   exact code path.
-* :func:`make_shard_fold` — a ring-specialized fold worker: one read-modify-
-  write per increment key against its shard dict, journalling inserted and
-  removed keys so the (shared, prefix-bucketed) slice indexes of
-  :mod:`repro.compiler.indexes` can be maintained serially after the join.
-  Index buckets are keyed by *bound prefixes*, which do not respect the
-  key-hash partition — two shards' keys can share a bucket — so index
-  mutation inside the workers would race; the journal keeps maintenance
-  race-free without putting a union on every read.
-* :class:`ShardExecutor` — a lazily created thread pool shared per worker
-  count.  On free-threaded builds the per-shard folds run truly in parallel;
-  on GIL builds they interleave but stay correct (and
-  ``REPRO_SHARD_PARALLEL=0`` forces in-line serial execution of the shard
-  jobs, which is also what small increment maps get automatically).
+* :func:`make_inline_shard_fold` — the coordinator's ring-specialized fold:
+  one read-modify-write per increment key, routed to its shard dict,
+  journalling inserted and removed keys so the (shared, prefix-bucketed)
+  slice indexes of :mod:`repro.compiler.indexes` are maintained from the
+  journal.  Index buckets are keyed by *bound prefixes*, which do not
+  respect the key-hash partition — two shards' keys can share a bucket — so
+  a worker owning one shard cannot maintain them; the journal carries its
+  changes back to the coordinator.  :func:`make_shard_fold` is the same
+  fold over one shard's part, run by the process backend's workers
+  (:mod:`repro.compiler.partition`).
+* :func:`fold_sharded_table` — the one sharded-fold entry point: it hands
+  the fold to the table's attached shard backend (``inline`` or
+  ``process``), or folds inline when no backend is attached.
 
 Change-data-capture and tracked-source accumulation are *not* sharded: both
 are pure functions of the increment map (not of table state), so the callers
-fold them serially before dispatching the shard jobs — sharded and unsharded
-sessions therefore produce byte-identical ``on_change`` payloads.
+fold them serially before the shard fold — sharded and unsharded sessions
+therefore produce byte-identical ``on_change`` payloads.
 """
 
 from __future__ import annotations
 
 import os
-import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.algebra.semirings import FLOAT_FIELD, INTEGER_RING, Semiring
 
 MapTable = Dict[Tuple[Any, ...], Any]
-
-#: Increment maps smaller than this are folded in line (per-key shard lookup)
-#: instead of being partitioned and dispatched — job overhead would dominate.
-MIN_PARALLEL_KEYS = 64
 
 
 def default_shard_count() -> int:
@@ -118,8 +110,7 @@ class ShardedMapTable:
         #: directly and keeps both sides in lockstep without bumps.
         self.versions: List[int] = [0] * shard_count
         #: The owning :class:`~repro.compiler.partition.backends.ShardBackend`
-        #: (set by the runtime's ``make_table``); ``None`` keeps the legacy
-        #: thread-pool fold path.
+        #: (set by the runtime's ``make_table``); ``None`` folds inline.
         self.backend = None
         if contents:
             shards = self.shards
@@ -245,71 +236,24 @@ class _ShardView:
 
 
 # ---------------------------------------------------------------------------
-# Ring-specialized per-shard fold workers
+# Ring-specialized fold workers
 # ---------------------------------------------------------------------------
 #
-# Workers return ``(added_keys, removed_keys, error)`` and never raise: a
+# Folds return ``(added_keys, removed_keys, error)`` and never raise: a
 # ring/arithmetic failure mid-fold is captured and handed back alongside the
 # journal built so far (each key's mutation happens strictly after the
 # operations that can fail, so the journal always matches the shard's actual
-# contents).  The orchestrator applies every worker's journal before
-# propagating the first error — the slice indexes therefore stay consistent
-# with the tables even on a failed fold, exactly like the unsharded per-key
-# fold loop.
-
-
-def _fold_shard_native(shard: MapTable, part: MapTable, journal: bool):
-    """Fold one shard's increments with native ``+``/``0`` arithmetic."""
-    added: Optional[List[Tuple[Any, ...]]] = [] if journal else None
-    removed: Optional[List[Tuple[Any, ...]]] = [] if journal else None
-    try:
-        for key, delta in part.items():
-            new = shard.get(key, 0) + delta
-            if new == 0:
-                if shard.pop(key, None) is not None and removed is not None:
-                    removed.append(key)
-            else:
-                if added is not None and key not in shard:
-                    added.append(key)
-                shard[key] = new
-    except Exception as exc:  # the `new` computation failed; key not mutated
-        return added, removed, exc
-    return added, removed, None
-
-
-def make_shard_fold(ring: Semiring) -> Callable[[MapTable, MapTable, bool], tuple]:
-    """A fold worker specialized to ``ring`` (native fast path for ℤ and ℝ)."""
-    if ring is INTEGER_RING or ring is FLOAT_FIELD:
-        return _fold_shard_native
-    add, zero, is_zero = ring.add, ring.zero, ring.is_zero
-
-    def fold_shard(shard: MapTable, part: MapTable, journal: bool):
-        added: Optional[List[Tuple[Any, ...]]] = [] if journal else None
-        removed: Optional[List[Tuple[Any, ...]]] = [] if journal else None
-        try:
-            for key, delta in part.items():
-                new = add(shard.get(key, zero), delta)
-                if is_zero(new):
-                    if shard.pop(key, None) is not None and removed is not None:
-                        removed.append(key)
-                else:
-                    if added is not None and key not in shard:
-                        added.append(key)
-                    shard[key] = new
-        except Exception as exc:
-            return added, removed, exc
-        return added, removed, None
-
-    return fold_shard
+# contents).  The caller applies every journal before propagating the first
+# error — the slice indexes therefore stay consistent with the tables even
+# on a failed fold, exactly like the unsharded per-key fold loop.
 
 
 def make_inline_shard_fold(ring: Semiring):
     """A serial whole-increment-map fold over a sharded table's shard dicts.
 
-    Routes each key to its shard in one pass — the small-batch/single-tuple
-    path where partitioning into per-shard jobs would cost more than it
-    saves.  Same ``(added, removed, error)`` contract as
-    :func:`make_shard_fold`.
+    Routes each key to its shard in one pass, with no partitioning step, and
+    folds ℤ and ℝ with native ``+`` and ``== 0``.  Called as
+    ``fold(shards, shard_count, acc, journal)``.
     """
     if ring is INTEGER_RING or ring is FLOAT_FIELD:
 
@@ -327,7 +271,7 @@ def make_inline_shard_fold(ring: Semiring):
                         if added is not None and key not in shard:
                             added.append(key)
                         shard[key] = new
-            except Exception as exc:
+            except Exception as exc:  # the `new` computation failed; key not mutated
                 return added, removed, exc
             return added, removed, None
 
@@ -356,13 +300,27 @@ def make_inline_shard_fold(ring: Semiring):
     return fold_inline
 
 
+def make_shard_fold(ring: Semiring) -> Callable[[MapTable, MapTable, bool], tuple]:
+    """The inline fold over a single shard dict: ``fold(shard, part, journal)``.
+
+    Folds one shard's part of an increment map into that shard's dict — the
+    fold the process backend's workers run against their shard mirrors.
+    """
+    fold_inline = make_inline_shard_fold(ring)
+
+    def fold_shard(shard: MapTable, part: MapTable, journal: bool):
+        return fold_inline((shard,), 1, part, journal)
+
+    return fold_shard
+
+
 def apply_index_journal(index_data, specs, name: str, added, removed) -> None:
     """Replay a shard fold's inserted/removed keys into raw slice-index storage.
 
     ``index_data`` is the ``(map, positions) -> {prefix -> keys}`` dict of
     :class:`repro.compiler.indexes.SliceIndexes` (``.data``), which the
     generated trigger modules address directly; ``specs`` are the map's
-    bound-position signatures.  Runs serially after the shard workers join.
+    bound-position signatures.  Runs serially after the fold returns.
     """
     for positions in specs:
         bucket = index_data[(name, positions)]
@@ -383,119 +341,26 @@ def apply_index_journal(index_data, specs, name: str, added, removed) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The parallel executor
+# The fold entry points
 # ---------------------------------------------------------------------------
 
 
-def parallel_enabled() -> bool:
-    """False when ``REPRO_SHARD_PARALLEL=0`` forces in-line shard execution."""
-    return os.environ.get("REPRO_SHARD_PARALLEL", "1") != "0"
-
-
-def gil_disabled() -> bool:
-    """True on free-threaded builds, where shard folds run truly in parallel."""
-    checker = getattr(sys, "_is_gil_enabled", None)
-    return checker is not None and not checker()
-
-
-def parallel_fold_capable(workers: int) -> bool:
-    """Whether this interpreter/host can *speed up* folds with ``workers`` threads.
-
-    Correctness never depends on this — it only gates throughput assertions:
-    per-shard dict folds are pure Python, so they need a free-threaded build
-    and at least ``workers`` cores to scale.
-    """
-    return gil_disabled() and (os.cpu_count() or 1) >= workers
-
-
-class ShardExecutor:
-    """Runs per-shard fold jobs, in parallel when it can pay off.
-
-    The thread pool is created lazily (lock-guarded) on the first multi-job
-    run and reused for the life of the process; single jobs (and every job
-    when ``REPRO_SHARD_PARALLEL=0``) run in line on the calling thread.
-    Jobs must not raise — fold workers return their error as part of the
-    result — so ``run`` always waits for and returns every job's result.
-    """
-
-    __slots__ = ("workers", "_pool", "_lock")
-
-    def __init__(self, workers: int):
-        self.workers = max(1, workers)
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._lock = threading.Lock()
-
-    def run(self, fn: Callable, jobs: Iterable[tuple]) -> List[Any]:
-        jobs = list(jobs)
-        if len(jobs) <= 1 or not parallel_enabled():
-            return [fn(*job) for job in jobs]
-        if self._pool is None:
-            with self._lock:
-                if self._pool is None:
-                    self._pool = ThreadPoolExecutor(
-                        max_workers=self.workers, thread_name_prefix="repro-shard"
-                    )
-        futures = [self._pool.submit(fn, *job) for job in jobs]
-        return [future.result() for future in futures]
-
-
-_EXECUTORS: Dict[int, ShardExecutor] = {}
-_EXECUTORS_LOCK = threading.Lock()
-
-
-def get_executor(workers: int) -> ShardExecutor:
-    """The process-wide executor for a given worker count (shared across runtimes)."""
-    executor = _EXECUTORS.get(workers)
-    if executor is None:
-        with _EXECUTORS_LOCK:
-            executor = _EXECUTORS.get(workers)
-            if executor is None:
-                executor = _EXECUTORS[workers] = ShardExecutor(workers)
-    return executor
-
-
-def fold_shards_threaded(
+def fold_table_inline(
     table: ShardedMapTable,
     acc: Mapping[Tuple[Any, ...], Any],
     journal: bool,
-    fold_shard: Callable,
     fold_inline: Callable,
     sink: Callable[[Iterable, Iterable], None],
-    force_inline: bool = False,
-    min_parallel_keys: Optional[int] = None,
 ) -> None:
-    """The coordinator-side fold orchestration over the shared thread pool.
+    """Fold ``acc`` into ``table`` on the calling thread, routed per key.
 
-    Folds ``acc`` into ``table`` — in line below ``min_parallel_keys``
-    (default :data:`MIN_PARALLEL_KEYS`), per-shard on the executor otherwise.
-    ``force_inline`` pins the fold to the inline path regardless of size: the
-    shard-race detector (:func:`repro.compiler.verify.mark_serial_folds`)
-    sets it for statements whose target another statement of the same
-    dispatch touches.  Every worker's journal is handed to ``sink`` (the
-    backend's slice-index maintenance) *before* the first captured error is
-    re-raised, so a failed fold leaves the indexes consistent with whatever
-    the shards actually contain — the same guarantee as the unsharded
-    per-key fold loop.
+    The journal is handed to ``sink`` (the caller's slice-index maintenance)
+    *before* a captured fold error is re-raised, so a failed fold leaves the
+    indexes consistent with whatever the shards actually contain.
     """
-    threshold = MIN_PARALLEL_KEYS if min_parallel_keys is None else min_parallel_keys
-    error: Optional[BaseException] = None
-    if force_inline or len(acc) < threshold:
-        # In-line fold, routed per key: partition/dispatch overhead would
-        # dominate for small increment maps (and for every single-tuple
-        # trigger on a sharded session).
-        added, removed, error = fold_inline(table.shards, table.shard_count, acc, journal)
-        if journal and (added or removed):
-            sink(added, removed)
-    else:
-        parts = table.partition(acc)
-        jobs = [
-            (shard, part, journal) for shard, part in zip(table.shards, parts) if part
-        ]
-        for added, removed, exc in get_executor(table.shard_count).run(fold_shard, jobs):
-            if journal and (added or removed):
-                sink(added, removed)
-            if exc is not None and error is None:
-                error = exc
+    added, removed, error = fold_inline(table.shards, table.shard_count, acc, journal)
+    if journal and (added or removed):
+        sink(added, removed)
     if error is not None:
         raise error
 
@@ -504,7 +369,6 @@ def fold_sharded_table(
     table: ShardedMapTable,
     acc: Mapping[Tuple[Any, ...], Any],
     journal: bool,
-    fold_shard: Callable,
     fold_inline: Callable,
     sink: Callable[[Iterable, Iterable], None],
     force_inline: bool = False,
@@ -514,23 +378,21 @@ def fold_sharded_table(
 
     Dispatches through the table's attached
     :class:`~repro.compiler.partition.backends.ShardBackend` when one is set
-    (the partition tier: inline / thread / process placement of the per-shard
-    jobs); tables without a backend — standalone runtimes, pre-tier
-    callers — keep the thread-pool orchestration of
-    :func:`fold_shards_threaded` verbatim.  ``name`` is the map's name in the
-    hierarchy; backends that keep off-process shard state use it to address
-    their mirrors.
+    (the partition tier: inline or process placement of the fold); tables
+    without a backend fold inline.  ``force_inline`` pins the fold to the
+    coordinator: the shard-race detector
+    (:func:`repro.compiler.verify.mark_serial_folds`) sets it for statements
+    whose target another statement of the same dispatch touches.  ``name`` is
+    the map's name in the hierarchy; backends that keep off-process shard
+    state use it to address their mirrors.
     """
     backend = table.backend
     if backend is not None:
         backend.fold_table(
-            table, acc, journal, fold_shard, fold_inline, sink,
-            force_inline=force_inline, name=name,
+            table, acc, journal, fold_inline, sink, force_inline=force_inline, name=name
         )
         return
-    fold_shards_threaded(
-        table, acc, journal, fold_shard, fold_inline, sink, force_inline=force_inline
-    )
+    fold_table_inline(table, acc, journal, fold_inline, sink)
 
 
 def make_generated_fold_sharded(ring: Semiring, local: bool = False):
@@ -538,16 +400,15 @@ def make_generated_fold_sharded(ring: Semiring, local: bool = False):
 
     The generated ``_fold`` delegates here when its target table is a
     :class:`ShardedMapTable` (after handling CDC and tracked-source
-    accumulation serially); index maintenance is journalled by the workers
-    and replayed into the raw ``_IDX`` storage after the join.
+    accumulation serially); index maintenance is journalled by the fold and
+    replayed into the raw ``_IDX`` storage afterwards.
 
-    ``local`` pins the fold to the coordinator's thread pool regardless of
-    the table's attached shard backend: the process backend's workers fold
-    with the session ring, so ℤ-valued counter maps of a semiring program
-    must stay on coordinator shards (they then never gain a worker mirror,
-    so no staleness can arise).
+    ``local`` folds inline on the coordinator regardless of the table's
+    attached shard backend: the process backend's workers fold with the
+    session ring, so ℤ-valued counter maps of a semiring program must stay
+    on coordinator shards (they then never gain a worker mirror, so no
+    staleness can arise).
     """
-    fold_shard = make_shard_fold(ring)
     fold_inline = make_inline_shard_fold(ring)
 
     def _fold_sharded(table, acc, name, specs, idx, serial=False) -> None:
@@ -557,14 +418,10 @@ def make_generated_fold_sharded(ring: Semiring, local: bool = False):
             apply_index_journal(idx, specs, name, added, removed)
 
         if local:
-            fold_shards_threaded(
-                table, acc, journal, fold_shard, fold_inline, sink,
-                force_inline=serial,
-            )
+            fold_table_inline(table, acc, journal, fold_inline, sink)
             return
         fold_sharded_table(
-            table, acc, journal, fold_shard, fold_inline, sink,
-            force_inline=serial, name=name,
+            table, acc, journal, fold_inline, sink, force_inline=serial, name=name
         )
 
     return _fold_sharded

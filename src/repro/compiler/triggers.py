@@ -40,7 +40,7 @@ class Statement:
     rhs: Expr
     #: Set by the shard-race detector (:mod:`repro.compiler.verify`): this
     #: statement's fold writes a map another statement of the same dispatch
-    #: reads, so it must never run on the parallel per-shard fold path.
+    #: reads, so it must never run on the per-shard worker fold path.
     serial_fold: bool = False
 
     def as_aggregate(self) -> AggSum:

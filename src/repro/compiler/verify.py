@@ -18,11 +18,11 @@ later.
 The module also hosts the **shard-race detector**
 (:func:`mark_serial_folds`): within one event dispatch, a statement whose
 fold writes a map that *another* statement of the same dispatch reads (or
-that another statement also writes) may not use the parallel per-shard fold
-path of :mod:`repro.compiler.sharding` — an executor overlapping that fold
+that another statement also writes) may not use the per-shard worker fold
+path of :mod:`repro.compiler.partition` — an executor overlapping that fold
 with its neighbour's evaluation would observe half-written state.  Both
-runtimes execute folds behind a join barrier today, which makes such pairs
-safe *dynamically*; the detector makes the guarantee static by forcing the
+runtimes execute folds synchronously today, which makes such pairs safe
+*dynamically*; the detector makes the guarantee static by forcing the
 hazardous statements onto the serial (inline) fold path, so the invariant
 survives executor changes.  Recomputes are excluded on purpose: they are
 ordered after the fold barrier precisely so that they read post-fold values.

@@ -79,7 +79,8 @@ class IngestStats:
         self._flush_latency_ms = deque(maxlen=LATENCY_WINDOW)
         self._flush_staleness_ms = deque(maxlen=LATENCY_WINDOW)
         #: Latest partition-tier dispatch report (``Session.dispatch_statistics``
-        #: shape: group -> policy snapshot), refreshed after each flush.
+        #: shape: group -> backend name and decision tallies), refreshed after
+        #: each flush.
         self.shard_dispatch: Dict[str, Any] = {}
 
     # -- recording hooks (called by the queue / flusher / windows) -------------
@@ -119,7 +120,7 @@ class IngestStats:
 
     def record_dispatch(self, report: Dict[str, Any]) -> None:
         """Refresh the partition-tier dispatch report (latest wins — the
-        policies' tallies are cumulative, so overwriting loses nothing)."""
+        backends' tallies are cumulative, so overwriting loses nothing)."""
         with self._lock:
             self.shard_dispatch = report
 

@@ -62,11 +62,11 @@ class RecursiveIVM(IVMEngine):
             self.query, self.schema, name=map_name, verify=verify, normalize=normalize,
             ring=ring,
         )
-        # shards > 1 hash-partitions the map tables so batch folds run per
+        # shards > 1 hash-partitions the map tables so batch folds route per
         # shard (repro.compiler.sharding); the default (None -> REPRO_SHARDS
         # -> 1) keeps plain dict tables and the pre-sharding code path.
         # shard_backend picks the partition tier's execution backend
-        # ("inline"/"thread"/"process", None -> REPRO_SHARD_BACKEND).
+        # ("inline"/"process", None -> REPRO_SHARD_BACKEND, default inline).
         # specialize controls the hot-loop batch fast paths (Counter-counted
         # grouping + fused bare-count totals) on both compiled executors;
         # None defers to REPRO_SPECIALIZE (default on), and non-integer rings

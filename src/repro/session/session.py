@@ -34,7 +34,11 @@ from repro.algebra.semirings import INTEGER_RING, Semiring, resolve_semiring
 from repro.compiler.codegen import GeneratedTriggers, generate_python
 from repro.compiler.compile import compile_query
 from repro.compiler.cost import RuntimeStatistics
-from repro.compiler.partition.backends import make_shard_backend, resolve_shard_backend
+from repro.compiler.partition.backends import (
+    BACKEND_NAMES,
+    make_shard_backend,
+    resolve_shard_backend,
+)
 from repro.compiler.runtime import TriggerRuntime
 from repro.compiler.sharding import resolve_shard_count
 from repro.core.ast import AggSum, Expr
@@ -288,21 +292,22 @@ class Session:
     shards:
         Hash-partition count of the compiled views' map tables
         (:mod:`repro.compiler.sharding`).  With ``shards=N`` (N > 1) the
-        batch folds split per shard and run on a thread pool; ``None``
-        defers to the ``REPRO_SHARDS`` environment variable, and the
-        default of 1 keeps plain dict tables and exactly the unsharded
-        code path.  Results and ``on_change`` payloads are identical for
-        every shard count.
+        batch folds are routed per shard through the partition tier's
+        backend; ``None`` defers to the ``REPRO_SHARDS`` environment
+        variable, and the default of 1 keeps plain dict tables and exactly
+        the unsharded code path.  Results and ``on_change`` payloads are
+        identical for every shard count.
     shard_backend:
         Execution backend of the partition tier
-        (:mod:`repro.compiler.partition`): ``"inline"``, ``"thread"`` or
-        ``"process"``.  ``None`` defers to ``REPRO_SHARD_BACKEND`` (default
-        ``"thread"``).  Only meaningful with ``shards > 1``; the
-        ``"process"`` backend spawns one long-lived worker per shard that
-        keeps a warm mirror of its shard's tables, so folds run with real
-        parallelism even on GIL builds.  State and CDC are identical across
-        backends.  Call :meth:`close` (or use the session as a context
-        manager) to shut process workers down deterministically.
+        (:mod:`repro.compiler.partition`): ``"inline"`` or ``"process"``.
+        ``None`` defers to ``REPRO_SHARD_BACKEND`` (default ``"inline"``).
+        Only meaningful with ``shards > 1``; ``"inline"`` folds every
+        shard on the calling thread, while ``"process"`` spawns one
+        long-lived worker per shard that keeps a warm mirror of its shard's
+        tables, so large folds run with real parallelism even on GIL
+        builds.  State and CDC are identical across backends.  Call
+        :meth:`close` (or use the session as a context manager) to shut
+        process workers down deterministically.
     """
 
     def __init__(
@@ -675,21 +680,23 @@ class Session:
         return sizes
 
     def dispatch_statistics(self) -> Dict[str, Dict[str, Any]]:
-        """Per-compiled-group partition-tier dispatch decisions and cost models.
+        """Per-compiled-group partition-tier dispatch decisions.
 
         One entry per compiled group with a live shard backend, keyed by the
-        group's executor flavor; each value is the backend policy's
-        :meth:`~repro.compiler.partition.dispatch.DispatchPolicy.snapshot`
-        (policy name, decision tallies, and — for the adaptive policy — the
-        learned per-(statement group, mode) cost predictions).  Also mirrored
-        into ``self.statistics.extra["shard_dispatch"]`` so engine-level
+        group's executor flavor; each value names the shard backend and
+        tallies where its folds ran (``inline``, ``forced-inline`` or
+        ``process``).  Also mirrored into
+        ``self.statistics.extra["shard_dispatch"]`` so engine-level
         consumers see it without a separate call.
         """
         report: Dict[str, Dict[str, Any]] = {}
         for backend_name, group in self._groups.items():
             shard_backend = group.shard_backend
             if shard_backend is not None:
-                report[backend_name] = shard_backend.dispatch.snapshot()
+                report[backend_name] = {
+                    "backend": shard_backend.name,
+                    "decisions": dict(shard_backend.decisions),
+                }
         self.statistics.extra["shard_dispatch"] = report
         return report
 
@@ -778,9 +785,15 @@ class Session:
         a snapshot taken at one shard count can be revived at any other
         (including back to the unsharded plain-dict layout at 1).  Likewise
         ``shard_backend`` overrides the recorded partition-tier backend: a
-        snapshot taken under ``"thread"`` can be revived under ``"process"``
+        snapshot taken under ``"inline"`` can be revived under ``"process"``
         (and vice versa) — the state travels in the same backend-agnostic
-        serialization either way.
+        serialization either way.  A recorded backend that no longer exists
+        (``"thread"``, from older snapshots) revives under the default.
+
+        Under a semiring, ring-valued map entries and engine-database
+        multiplicities pass through ``ring.coerce``, so a snapshot that went
+        through JSON (which turns top-k tuples into lists) restores to the
+        semiring's own carrier values.
         """
         if snapshot.get("format") not in _ACCEPTED_SNAPSHOT_FORMATS:
             raise ValueError(f"unsupported session snapshot format: {snapshot.get('format')!r}")
@@ -796,8 +809,8 @@ class Session:
                 ) from None
         if shards is None:
             shards = snapshot.get("shards", 1)
-        if shard_backend is None:
-            shard_backend = snapshot.get("shard_backend")
+        if shard_backend is None and snapshot.get("shard_backend") in BACKEND_NAMES:
+            shard_backend = snapshot["shard_backend"]
         schema = {relation: tuple(columns) for relation, columns in snapshot["schema"].items()}
         session = cls(
             schema,
@@ -809,12 +822,19 @@ class Session:
         for spec in snapshot["views"]:
             session.view(spec["name"], parse(spec["query"]), backend=spec["backend"])
 
+        # JSON keeps ring carriers (plain numbers) intact but turns semiring
+        # carriers such as top-k tuples into lists; coerce those back.
+        coerce = None if ring.is_ring else ring.coerce
         for backend, tables in snapshot["maps"].items():
             group = session._groups[backend]
+            maintenance = group.runtime.program.maintenance
+            counter_maps = maintenance.counter_maps if maintenance is not None else ()
             for name, entries in tables.items():
-                group.runtime.maps[name] = group.runtime.make_table(
-                    {tuple(key): value for key, value in entries}
-                )
+                if coerce is None or name in counter_maps:  # ℤ counters stay as-is
+                    contents = {tuple(key): value for key, value in entries}
+                else:
+                    contents = {tuple(key): coerce(value) for key, value in entries}
+                group.runtime.maps[name] = group.runtime.make_table(contents)
             group.runtime.indexes.rebuild(group.runtime.maps)
             # Support sidecars are a function of the restored counter maps.
             group.runtime.rebuild_supports()
@@ -824,7 +844,9 @@ class Session:
             for relation, rows in relations.items():
                 columns = db.columns(relation)
                 contents = {
-                    Record.from_values(columns, tuple(values)): multiplicity
+                    Record.from_values(columns, tuple(values)): (
+                        multiplicity if coerce is None else coerce(multiplicity)
+                    )
                     for values, multiplicity in rows
                 }
                 db.set_relation(relation, GMR(contents, ring=ring))

@@ -1,4 +1,4 @@
-"""Sharded map tables and parallel batch folds (PR 5).
+"""Sharded map tables and the partition tier's shard backends.
 
 The contract under test: for every shard count N, a sharded session/engine is
 *indistinguishable* from the unsharded one — same view results, same
@@ -8,12 +8,18 @@ keeps plain dict tables (the pre-sharding code path).
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
-from repro.compiler.sharding import (
+from repro.compiler.partition.backends import (
     MIN_PARALLEL_KEYS,
+    InlineShardBackend,
+    ProcessShardBackend,
+    default_shard_backend,
+)
+from repro.compiler.sharding import (
     ShardedMapTable,
     partition_map,
     resolve_shard_count,
@@ -218,7 +224,7 @@ def _random_batch(rng, size, domain):
 def test_sharded_session_state_and_cdc_equivalent(backend, shards):
     """The acceptance property: a sharded session is indistinguishable from the
     unsharded one on mixed single/batch traces — results *and* CDC streams —
-    including batches large enough to cross the parallel-fold threshold."""
+    including batches large enough to cross the process backend's worker gate."""
     rng = random.Random(1000 * shards + len(backend))
     base, base_cdc = _build_session(1, backend)
     sharded, sharded_cdc = _build_session(shards, backend)
@@ -228,7 +234,8 @@ def test_sharded_session_state_and_cdc_equivalent(backend, shards):
             base.apply(update)
             sharded.apply(update)
         else:
-            # Occasionally exceed MIN_PARALLEL_KEYS so the thread-pool path runs.
+            # Occasionally exceed MIN_PARALLEL_KEYS so a process backend
+            # (REPRO_SHARD_BACKEND=process) dispatches to its workers.
             size = rng.choice([3, 40, MIN_PARALLEL_KEYS * 4])
             batch = _random_batch(rng, size, 40)
             base.apply_batch(batch)
@@ -286,24 +293,23 @@ def test_late_view_registration_on_sharded_session():
 
 
 # ---------------------------------------------------------------------------
-# The partition tier: backend equivalence (inline / thread / process)
+# The partition tier: backend equivalence (inline / process)
 # ---------------------------------------------------------------------------
 
 
-SHARD_BACKENDS = ("inline", "thread", "process")
+SHARD_BACKENDS = ("inline", "process")
 
 #: A nested-aggregate view whose S-trigger carries a *tracked* recompute, so
-#: traces through it exercise the backend's ``map_groups`` fan-out.
+#: traces through it re-evaluate affected groups over sharded tables.
 NESTED_SCHEMA = {"R": ("G", "X"), "S": ("G", "Y")}
 NESTED_QUERY = "AggSum([g], R(g, x) * (x < Sum(S(g, y) * y)) * x)"
 
 
 def _force_dispatch(session):
-    """Lower the partition tier's thresholds so small test batches fan out."""
+    """Lower the process backend's worker gate so small test batches dispatch."""
     for group in session._groups.values():
-        if group.shard_backend is not None:
+        if isinstance(group.shard_backend, ProcessShardBackend):
             group.shard_backend.min_parallel_keys = 4
-            group.shard_backend.min_parallel_groups = 2
     return session
 
 
@@ -322,7 +328,7 @@ def _build_backend_session(shards, executor, shard_backend):
 def test_every_backend_matches_unsharded_state_and_cdc(shards, shard_backend, executor):
     """The PR-8 acceptance property: every (N, backend, executor) combination
     is byte-identical to the unsharded session — results and CDC streams —
-    with dispatch thresholds lowered so the real worker paths run."""
+    with the worker gate lowered so the real worker paths run."""
     rng = random.Random(7000 + 100 * shards + len(shard_backend) + len(executor))
     base, base_cdc = _build_session(1, executor)
     sharded, sharded_cdc = _build_backend_session(shards, executor, shard_backend)
@@ -346,7 +352,7 @@ def test_every_backend_matches_unsharded_state_and_cdc(shards, shard_backend, ex
 @pytest.mark.parametrize("shard_backend", SHARD_BACKENDS)
 def test_tracked_recomputes_dispatch_per_backend(shard_backend, executor):
     """Nested-aggregate maintenance (tracked recomputes) must agree with the
-    unsharded engine when the affected-group loop fans out over each backend."""
+    unsharded engine over each backend's sharded tables."""
     rng = random.Random(31 + len(shard_backend) + len(executor))
     base = Session(NESTED_SCHEMA, shards=1)
     base.view("nested", NESTED_QUERY, backend=executor)
@@ -375,7 +381,7 @@ def test_tracked_recomputes_dispatch_per_backend(shard_backend, executor):
 @pytest.mark.parametrize("executor", COMPILED_BACKENDS)
 def test_snapshot_restore_across_backends_and_shard_counts(executor):
     """A snapshot taken under one (N, backend) revives under any other —
-    including process→thread→inline — and keeps maintaining correctly."""
+    including process→inline — and keeps maintaining correctly."""
     rng = random.Random(99)
     origin, _ = _build_backend_session(3, executor, "process")
     base, _ = _build_session(1, executor)
@@ -389,7 +395,7 @@ def test_snapshot_restore_across_backends_and_shard_counts(executor):
         assert snapshot["shard_backend"] == "process"
     finally:
         origin.close()
-    for new_count, new_backend in ((1, None), (2, "inline"), (4, "thread"), (2, "process")):
+    for new_count, new_backend in ((1, None), (2, "inline"), (4, "inline"), (2, "process")):
         restored = Session.restore(snapshot, shards=new_count, shard_backend=new_backend)
         _force_dispatch(restored)
         try:
@@ -408,6 +414,76 @@ def test_snapshot_restore_across_backends_and_shard_counts(executor):
             restored.close()
     # Without an override the recorded backend is used.
     assert Session.restore(snapshot).shard_backend == "process"
+
+
+@pytest.mark.parametrize("executor", COMPILED_BACKENDS)
+def test_restore_of_thread_backend_snapshot_uses_default_backend(executor):
+    """Snapshots recorded under the removed ``thread`` backend revive under
+    the default backend and match the live session."""
+    rng = random.Random(12)
+    session, _ = _build_session(3, executor)
+    session.apply_batch(_random_batch(rng, 80, 30))
+    snapshot = dict(session.snapshot(), shard_backend="thread")
+    restored = Session.restore(snapshot)
+    try:
+        assert restored.shard_backend == default_shard_backend()
+        assert restored.results() == session.results()
+        tail = _random_batch(rng, 80, 30)
+        session.apply_batch(tail)
+        restored.apply_batch(tail)
+        assert restored.results() == session.results()
+    finally:
+        restored.close()
+        session.close()
+
+
+@pytest.mark.parametrize("shard_backend", SHARD_BACKENDS)
+def test_restore_of_thread_backend_snapshot_honours_override(shard_backend):
+    """An explicit ``shard_backend=`` wins over a recorded ``thread`` backend,
+    and the revived session matches the unsharded one after more churn."""
+    rng = random.Random(13 + len(shard_backend))
+    base, base_cdc = _build_session(1, "generated")
+    base.apply_batch(_random_batch(rng, 90, 30))
+    snapshot = dict(base.snapshot(), shards=3, shard_backend="thread")
+    restored = Session.restore(snapshot, shard_backend=shard_backend)
+    _force_dispatch(restored)
+    try:
+        assert restored.shards == 3
+        assert restored.shard_backend == shard_backend
+        assert restored.results() == base.results()
+        for _ in range(3):
+            batch = _random_batch(rng, 70, 30)
+            base.apply_batch(batch)
+            restored.apply_batch(batch)
+            assert restored.results() == base.results()
+    finally:
+        restored.close()
+
+
+@pytest.mark.parametrize("shard_backend", SHARD_BACKENDS)
+def test_json_snapshot_round_trip_across_backends(shard_backend):
+    """A snapshot of ℤ counter maps survives a JSON round-trip under either
+    backend: the revived session matches the live one, then and after churn."""
+    rng = random.Random(21 + len(shard_backend))
+    live, live_cdc = _build_backend_session(3, "generated", shard_backend)
+    try:
+        live.apply_batch(_random_batch(rng, 120, 30))
+        snapshot = json.loads(json.dumps(live.snapshot()))
+        assert snapshot["shard_backend"] == shard_backend
+        restored = Session.restore(snapshot)
+        _force_dispatch(restored)
+        try:
+            assert restored.shard_backend == shard_backend
+            assert restored.results() == live.results()
+            for _ in range(3):
+                batch = _random_batch(rng, 70, 30)
+                live.apply_batch(batch)
+                restored.apply_batch(batch)
+                assert restored.results() == live.results()
+        finally:
+            restored.close()
+    finally:
+        live.close()
 
 
 def test_process_backend_transactional_rollback():
@@ -464,169 +540,137 @@ def test_process_backend_ingest_pipeline():
 
 
 def test_backend_env_knob(monkeypatch):
-    from repro.compiler.partition.backends import (
-        InlineShardBackend,
-        ProcessShardBackend,
-        ThreadShardBackend,
-        default_shard_backend,
-    )
-
     monkeypatch.delenv("REPRO_SHARD_BACKEND", raising=False)
-    assert default_shard_backend() == "thread"
-    monkeypatch.setenv("REPRO_SHARD_BACKEND", "inline")
     assert default_shard_backend() == "inline"
-    session = Session(GROUPED_SCHEMA, shards=2)
-    session.view("count", "Sum(S(a, b))", backend="generated")
-    assert isinstance(session._groups["generated"].shard_backend, InlineShardBackend)
+    # Unknown env values, including the removed "thread", fall back.
+    monkeypatch.setenv("REPRO_SHARD_BACKEND", "thread")
+    assert default_shard_backend() == "inline"
     monkeypatch.setenv("REPRO_SHARD_BACKEND", "process")
-    explicit = Session(GROUPED_SCHEMA, shards=2, shard_backend="thread")
+    assert default_shard_backend() == "process"
+    explicit = Session(GROUPED_SCHEMA, shards=2, shard_backend="inline")
     explicit.view("count", "Sum(S(a, b))", backend="generated")
-    assert isinstance(explicit._groups["generated"].shard_backend, ThreadShardBackend)
+    assert isinstance(explicit._groups["generated"].shard_backend, InlineShardBackend)
     implicit = Session(GROUPED_SCHEMA, shards=2)
     implicit.view("count", "Sum(S(a, b))", backend="generated")
     assert isinstance(implicit._groups["generated"].shard_backend, ProcessShardBackend)
     implicit.close()
-    with pytest.raises(ValueError):
-        Session(GROUPED_SCHEMA, shards=2, shard_backend="bogus")
+    for name in ("bogus", "thread"):
+        with pytest.raises(ValueError, match=r"\('inline', 'process'\)"):
+            Session(GROUPED_SCHEMA, shards=2, shard_backend=name)
+
+
+@pytest.mark.parametrize("name", [None, "inline", "process"])
+def test_make_shard_backend_placements(monkeypatch, name):
+    """``make_shard_backend`` builds no backend at shards=1 and otherwise the
+    named placement (``None`` defers to the env default), with empty tallies."""
+    from repro.algebra.semirings import INTEGER_RING
+    from repro.compiler.partition.backends import make_shard_backend
+
+    monkeypatch.delenv("REPRO_SHARD_BACKEND", raising=False)
+    expected = {None: InlineShardBackend, "inline": InlineShardBackend}
+    expected["process"] = ProcessShardBackend
+    assert make_shard_backend(name, 1, INTEGER_RING) is None
+    backend = make_shard_backend(name, 3, INTEGER_RING)
+    try:
+        assert type(backend) is expected[name]
+        assert backend.name == (name or "inline")
+        assert backend.shards == 3 and backend.ring is INTEGER_RING
+        assert backend.decisions == {}
+    finally:
+        backend.close()
+    backend.close()  # idempotent
+
+
+@pytest.mark.parametrize("shards", [2, 4])
+def test_process_backend_gate_and_mirror_resync(shards):
+    """Below the worker gate the process backend folds inline on the
+    coordinator, which leaves the touched worker mirrors stale; the next
+    worker fold must re-ship those shards and still agree with a plain dict."""
+    from repro.algebra.semirings import INTEGER_RING
+    from repro.compiler.sharding import fold_sharded_table, make_inline_shard_fold
+
+    backend = ProcessShardBackend(shards, INTEGER_RING)
+    assert backend.min_parallel_keys == MIN_PARALLEL_KEYS
+    table = ShardedMapTable(shards, {})
+    table.backend = backend
+    inline = make_inline_shard_fold(INTEGER_RING)
+    reference = {}
+    big = {(i,): 1 for i in range(MIN_PARALLEL_KEYS)}
+    small = {(i,): 5 for i in range(MIN_PARALLEL_KEYS - 1)}
+    try:
+        for acc, mode in ((big, "process"), (small, "inline"), (big, "process")):
+            before = dict(backend.decisions)
+            fold_sharded_table(table, acc, False, inline, None, name="m")
+            for key, value in acc.items():
+                reference[key] = reference.get(key, 0) + value
+            assert table == reference
+            assert backend.decisions.get(mode, 0) == before.get(mode, 0) + 1
+        assert backend.decisions == {"process": 2, "inline": 1}
+    finally:
+        backend.close()
 
 
 def test_worker_death_raises_clean_error():
     """A killed worker surfaces as a RuntimeError, not a hang or corruption."""
-    from repro.compiler.partition.backends import ProcessShardBackend
     from repro.algebra.semirings import INTEGER_RING
-    from repro.compiler.indexes import SliceIndexes
-    from repro.compiler.sharding import make_inline_shard_fold, make_shard_fold
+    from repro.compiler.sharding import make_inline_shard_fold
 
-    # Pin static dispatch: this test probes the process-worker machinery, so
-    # the fold must actually take the worker path regardless of the
-    # REPRO_SHARD_DISPATCH environment.
-    backend = ProcessShardBackend(2, INTEGER_RING, min_parallel_keys=1, dispatch="static")
+    backend = ProcessShardBackend(2, INTEGER_RING)
+    backend.min_parallel_keys = 1  # the fold must take the worker path
     table = ShardedMapTable(2, {(i,): 1 for i in range(10)})
     table.backend = backend
-    indexes = SliceIndexes()
-    sink = lambda added, removed: indexes  # noqa: E731 - journal ignored here
-    fold = make_shard_fold(INTEGER_RING)
     inline = make_inline_shard_fold(INTEGER_RING)
     try:
-        backend.fold_table(table, {(i,): 1 for i in range(10)}, False, fold, inline, None, name="m")
+        backend.fold_table(table, {(i,): 1 for i in range(10)}, False, inline, None, name="m")
         assert table == {(i,): 2 for i in range(10)}
         for process, _conn in backend._workers:
             process.terminate()
             process.join()
         with pytest.raises(RuntimeError, match="worker"):
-            backend.fold_table(
-                table, {(i,): 1 for i in range(10)}, False, fold, inline, None, name="m"
-            )
+            backend.fold_table(table, {(i,): 1 for i in range(10)}, False, inline, None, name="m")
     finally:
         backend.close()
 
 
 # ---------------------------------------------------------------------------
-# Cost-adaptive dispatch (PR 9): the knob, the model, and the equivalence
+# Dispatch tallies: where the folds actually ran
 # ---------------------------------------------------------------------------
-
-
-def test_dispatch_env_knob(monkeypatch):
-    from repro.algebra.semirings import INTEGER_RING
-    from repro.compiler.partition.backends import make_shard_backend
-    from repro.compiler.partition.dispatch import (
-        AdaptiveDispatch,
-        StaticDispatch,
-        default_dispatch,
-        make_dispatch_policy,
-        resolve_dispatch,
-    )
-
-    monkeypatch.delenv("REPRO_SHARD_DISPATCH", raising=False)
-    assert default_dispatch() == "static"
-    monkeypatch.setenv("REPRO_SHARD_DISPATCH", "adaptive")
-    assert default_dispatch() == "adaptive"
-    implicit = make_shard_backend("thread", 2, INTEGER_RING)
-    assert isinstance(implicit.dispatch, AdaptiveDispatch)
-    explicit = make_shard_backend("thread", 2, INTEGER_RING, dispatch="static")
-    assert isinstance(explicit.dispatch, StaticDispatch)
-    # A ready policy instance passes through, so a session can share one
-    # learned model across runtime rebuilds.
-    shared = AdaptiveDispatch()
-    assert make_dispatch_policy(shared) is shared
-    with pytest.raises(ValueError):
-        resolve_dispatch("bogus")
-
-
-def test_adaptive_choose_prices_then_tracks_cost():
-    """Cold modes are probed round-robin until priced; afterwards the cheapest
-    predicted mode wins, and the decayed fit re-learns a drifting host."""
-    from repro.compiler.partition.dispatch import AdaptiveDispatch
-
-    policy = AdaptiveDispatch(min_samples=2.0, explore_every=0)
-    modes = ("inline", "thread")
-    probed = [policy.choose("m", 100, modes) for _ in range(4)]
-    assert set(probed) == {"inline", "thread"}
-    for _ in range(4):
-        policy.observe("m", "inline", 100, 0.001)
-        policy.observe("m", "thread", 100, 0.010)
-    assert policy.choose("m", 100, modes) == "inline"
-    for _ in range(12):
-        policy.observe("m", "inline", 100, 0.010)
-        policy.observe("m", "thread", 100, 0.001)
-    assert policy.choose("m", 100, modes) == "thread"
-    snapshot = policy.snapshot()
-    assert snapshot["policy"] == "adaptive"
-    assert "m/inline" in snapshot["models"] and "m/thread" in snapshot["models"]
-
-
-def test_adaptive_choose_scales_with_batch_size():
-    """The fit is linear in the key count, so a mode with high fixed cost but
-    a flat slope wins the big batches while losing the small ones."""
-    from repro.compiler.partition.dispatch import AdaptiveDispatch
-
-    policy = AdaptiveDispatch(min_samples=1.0, explore_every=0)
-    modes = ("inline", "thread")
-    # inline: no fixed cost, 1us/key.  thread: 500us fixed, 0.1us/key.
-    for keys in (100, 2_000, 100, 2_000):
-        policy.observe("m", "inline", keys, keys * 1e-6)
-        policy.observe("m", "thread", keys, 5e-4 + keys * 1e-7)
-    assert policy.choose("m", 50, modes) == "inline"
-    assert policy.choose("m", 10_000, modes) == "thread"
 
 
 @pytest.mark.parametrize("executor", COMPILED_BACKENDS)
 @pytest.mark.parametrize("shard_backend", SHARD_BACKENDS)
-def test_adaptive_dispatch_equivalent_to_static(monkeypatch, shard_backend, executor):
-    """The PR-9 acceptance property: under ``REPRO_SHARD_DISPATCH=adaptive``
-    the PR-8 byte-identical guarantee still holds — same results and CDC
-    streams as the unsharded session — while the dispatcher records real
-    decisions into the session statistics."""
-    monkeypatch.setenv("REPRO_SHARD_DISPATCH", "adaptive")
+def test_dispatch_report_tallies_fold_placement(shard_backend, executor):
+    """The dispatch report names each group's backend and tallies where its
+    folds ran, while the session stays byte-identical to the unsharded one;
+    an unsharded session has no backend and an empty report."""
     rng = random.Random(9000 + 10 * len(shard_backend) + len(executor))
     base, base_cdc = _build_session(1, executor)
     sharded, sharded_cdc = _build_backend_session(4, executor, shard_backend)
     try:
         for step in range(6):
-            if rng.random() < 0.25:
-                update = _random_batch(rng, 1, 40)[0]
-                base.apply(update)
-                sharded.apply(update)
-            else:
-                batch = _random_batch(rng, rng.choice([3, 40, 120]), 40)
-                base.apply_batch(batch)
-                sharded.apply_batch(batch)
+            batch = _random_batch(rng, rng.choice([3, 40, 120]), 40)
+            base.apply_batch(batch)
+            sharded.apply_batch(batch)
             assert sharded.results() == base.results(), (shard_backend, executor, step)
             assert sharded_cdc == base_cdc, (shard_backend, executor, step)
+        assert base.dispatch_statistics() == {}
         report = sharded.dispatch_statistics()
-        assert report[executor]["policy"] == "adaptive"
+        assert set(report) == {executor}
+        assert report[executor]["backend"] == shard_backend
         decisions = report[executor]["decisions"]
-        assert sum(decisions.values()) > 0
+        assert set(decisions) <= {"inline", "forced-inline", "process"}
+        assert decisions.get(shard_backend, 0) > 0
+        if shard_backend == "inline":
+            assert "process" not in decisions
         assert sharded.statistics.extra["shard_dispatch"] == report
     finally:
         sharded.close()
 
 
-def test_ingest_stats_surface_dispatch_decisions(monkeypatch):
+def test_ingest_stats_surface_dispatch_decisions():
     """The streaming flusher refreshes the dispatch report after each flush,
     so the monitoring snapshot shows where the folds actually ran."""
-    monkeypatch.setenv("REPRO_SHARD_DISPATCH", "adaptive")
-    session = Session(GROUPED_SCHEMA, shards=2, shard_backend="thread")
+    session = Session(GROUPED_SCHEMA, shards=2, shard_backend="process")
     session.view("gsum", "AggSum([a], S(a, b) * b)", backend="generated")
     _force_dispatch(session)
     try:
@@ -637,8 +681,9 @@ def test_ingest_stats_surface_dispatch_decisions(monkeypatch):
                     pipe.flush()
             snapshot = pipe.stats.snapshot()
         dispatch = snapshot["shard_dispatch"]
-        assert dispatch["generated"]["policy"] == "adaptive"
-        assert sum(dispatch["generated"]["decisions"].values()) > 0
+        assert dispatch["generated"]["backend"] == "process"
+        assert dispatch["generated"]["decisions"].get("process", 0) > 0
+        assert session.statistics.extra["shard_dispatch"] == dispatch
     finally:
         session.close()
 
@@ -664,33 +709,39 @@ class _FragileRing:
         return value == 0
 
 
+@pytest.mark.parametrize(
+    "placement", [ProcessShardBackend, InlineShardBackend], ids=["process", "inline"]
+)
 @pytest.mark.parametrize("size", [10, MIN_PARALLEL_KEYS * 4])
-def test_failed_fold_applies_completed_journals(size):
-    """Workers hand their journals back even when one raises: after a failed
-    fold (inline or parallel), the slice indexes must exactly match the
-    tables' actual contents — the unsharded per-key loop's guarantee."""
+def test_failed_fold_applies_completed_journals(size, placement):
+    """Folds hand their journals back even when one raises: after a failed
+    fold (inline, or on process workers once the increment map crosses the
+    worker gate), the slice indexes must exactly match the tables' actual
+    contents — the unsharded per-key loop's guarantee."""
     from repro.compiler.indexes import SliceIndexes
-    from repro.compiler.sharding import (
-        fold_sharded_table,
-        make_inline_shard_fold,
-        make_shard_fold,
-    )
+    from repro.compiler.sharding import fold_sharded_table, make_inline_shard_fold
 
     ring = _FragileRing()
     table = ShardedMapTable(4, {(i, i): 1 for i in range(5)})
+    table.backend = placement(4, ring)
     indexes = SliceIndexes({"m": [(0,)]})
     indexes.rebuild({"m": table})
     acc = {(i, i): 1 for i in range(size)}
     acc[(3, 3)] = "boom"
-    with pytest.raises(RuntimeError):
-        fold_sharded_table(
-            table,
-            acc,
-            True,
-            make_shard_fold(ring),
-            make_inline_shard_fold(ring),
-            lambda added, removed: indexes.apply_journal("m", added, removed),
-        )
+    try:
+        with pytest.raises(RuntimeError):
+            fold_sharded_table(
+                table,
+                acc,
+                True,
+                make_inline_shard_fold(ring),
+                lambda added, removed: indexes.apply_journal("m", added, removed),
+                name="m",
+            )
+        worker_fold = placement is ProcessShardBackend and size >= MIN_PARALLEL_KEYS
+        assert table.backend.decisions == {("process" if worker_fold else "inline"): 1}
+    finally:
+        table.backend.close()
     indexed = set()
     for bucket in indexes.data.values():
         for keys in bucket.values():
