@@ -18,11 +18,13 @@ Two comparisons live here:
   single-key batches take hot-loop fast paths on the Z ring — fused totals
   skip the per-group delta table entirely, single-key grouping counts with
   ``collections.Counter`` in C — and must beat the generic
-  (pre-specialization) fold by at least 1.5x at batch size 1000 on both
-  compiled backends.  This retires PR 4's bare-count exemption: back then
-  the bare count was reported for context only because both measured paths
-  were bound by the same grouping loop; the specialization removes that
-  loop, so the bare count now carries its own asserted floor.
+  (pre-specialization) fold by each query's floor at batch size 1000.  The
+  fast paths exist only in the generated backend (the interpreted runtime
+  is the plain reference executor), so only generated rows are measured.
+  This retires PR 4's bare-count exemption: back then the bare count was
+  reported for context only because both measured paths were bound by the
+  same grouping loop; the specialization removes that loop, so the bare
+  count now carries its own asserted floor.
 
 Run standalone for a quick table::
 
@@ -152,51 +154,47 @@ def measure_batch_trigger_speedups(stream_length=None, batch_size=DELTA_BATCH_SI
 
 
 def measure_specialization_speedups(stream_length=None, batch_size=DELTA_BATCH_SIZE, repeats=3):
-    """Specialized vs generic batch folds, per backend and query.
+    """Specialized vs generic batch folds of the generated backend, per query.
 
-    Both engines run the *batch-trigger* path; the only difference is the
-    ``specialize`` knob, so the ratio isolates the hot-loop fast paths (fused
-    totals, Counter-backed grouping) from everything PR 4 already bought.
-    Returns ``{backend: {query: {"generic_s", "specialized_s", "speedup"}}}``.
+    Both engines run the *batch-trigger* path; the only difference is
+    ``generate_python``'s ``specialize`` flag, so the ratio isolates the
+    hot-loop fast paths (fused totals, Counter-backed grouping) from
+    everything PR 4 already bought.  Returns
+    ``{"generated": {query: {"generic_s", "specialized_s", "speedup", "floor"}}}``
+    (keyed by backend so the record names the executor it measured).
     """
     if stream_length is None:
         stream_length = smoke_scaled(20_000, 4_000)
     from repro.algebra.semirings import FLOAT_FIELD, INTEGER_RING
 
     results = {}
-    for backend in ("generated", "interpreted"):
-        results[backend] = {}
-        for name, (query, schema, domain, ring_tag, floor) in SPECIALIZED_QUERIES.items():
-            ring = FLOAT_FIELD if ring_tag == "float" else INTEGER_RING
-            if ring_tag == "float" and backend == "interpreted":
-                # The Kahan fused total is a generated-code emission; the
-                # interpreted executor has no float specialization to measure.
-                continue
-            stream = StreamGenerator(schema, seed=1, default_domain_size=domain).generate(
-                stream_length
+    for name, (query, schema, domain, ring_tag, floor) in SPECIALIZED_QUERIES.items():
+        ring = FLOAT_FIELD if ring_tag == "float" else INTEGER_RING
+        stream = StreamGenerator(schema, seed=1, default_domain_size=domain).generate(
+            stream_length
+        )
+        generic_seconds = specialized_seconds = float("inf")
+        for _ in range(repeats):
+            generic_engine = RecursiveIVM(
+                query, schema, ring=ring, backend="generated", specialize=False
             )
-            generic_seconds = specialized_seconds = float("inf")
-            for _ in range(repeats):
-                generic_engine = RecursiveIVM(
-                    query, schema, ring=ring, backend=backend, specialize=False
-                )
-                generic_seconds = min(
-                    generic_seconds, run_batched(generic_engine, stream, batch_size)
-                )
-                specialized_engine = RecursiveIVM(
-                    query, schema, ring=ring, backend=backend, specialize=True
-                )
-                specialized_seconds = min(
-                    specialized_seconds, run_batched(specialized_engine, stream, batch_size)
-                )
-                assert generic_engine.result() == specialized_engine.result()
-            results[backend][name] = {
-                "generic_s": generic_seconds,
-                "specialized_s": specialized_seconds,
-                "speedup": generic_seconds / specialized_seconds,
-                "floor": floor,
-            }
-    return results
+            generic_seconds = min(
+                generic_seconds, run_batched(generic_engine, stream, batch_size)
+            )
+            specialized_engine = RecursiveIVM(
+                query, schema, ring=ring, backend="generated", specialize=True
+            )
+            specialized_seconds = min(
+                specialized_seconds, run_batched(specialized_engine, stream, batch_size)
+            )
+            assert generic_engine.result() == specialized_engine.result()
+        results[name] = {
+            "generic_s": generic_seconds,
+            "specialized_s": specialized_seconds,
+            "speedup": generic_seconds / specialized_seconds,
+            "floor": floor,
+        }
+    return {"generated": results}
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +281,7 @@ def test_batch_triggers_beat_grouped_replay():
 
 def test_specialized_folds_beat_generic():
     """The PR-9 acceptance check: specialized batch folds beat the generic
-    path by each query's floor at batch size 1000 on both compiled backends."""
+    path by each query's floor at batch size 1000 on the generated backend."""
     if SMOKE:
         pytest.skip("timing assertion disabled in smoke mode")
     results = measure_specialization_speedups()

@@ -363,7 +363,7 @@ def experiment_e13():
 
 
 def experiment_e14():
-    _header("E14 specialized hot-loop folds")
+    _header("E14 specialized hot-loop folds (generated backend; the interpreter has none)")
     import bench_batch_updates
 
     smoke = bool(os.environ.get("REPRO_BENCH_SMOKE"))

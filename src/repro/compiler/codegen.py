@@ -77,15 +77,10 @@ from collections import Counter
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.algebra.semirings import FLOAT_FIELD, INTEGER_RING, Semiring
-from repro.compiler.cost import (
-    MAX_SPECIALIZED_EVENTS,
-    specialization_enabled,
-    trigger_specialization,
-)
+from repro.compiler.cost import MAX_SPECIALIZED_EVENTS, trigger_specialization
 from repro.compiler.indexes import IndexSpecs, SliceIndexes, compute_index_specs
 from repro.compiler.sharding import ShardedMapTable, make_generated_fold_sharded
 from repro.compiler.triggers import BatchTrigger, Statement, Trigger, TriggerProgram
-from repro.core.delta import DELTA_POOL_LIMIT
 from repro.core.ast import (
     Add,
     AggSum,
@@ -104,6 +99,12 @@ from repro.core.normalization import to_polynomial
 from repro.core.simplify import order_for_safety
 
 _PYTHON_OPS = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
+
+#: How many cleared per-group delta-table buffers a generated module keeps
+#: pooled between ``apply_batch`` calls (interpolated into the emitted
+#: source), so a streaming flush loop does not rebuild one dict per
+#: ``(relation, sign)`` group per flush.
+DELTA_POOL_LIMIT = 8
 
 #: Internal identifiers the name allocator must never hand out to AGCA variables.
 _RESERVED_NAMES = (
@@ -443,17 +444,26 @@ class GeneratedTriggers:
     def trigger_function_names(self) -> List[str]:
         return [name for name in self._namespace if name.startswith("on_")]
 
-    def reset_compensation(self) -> None:
+    def reset_compensation(self, state: Optional[Dict[str, float]] = None) -> None:
         """Clear the Kahan compensation state of the fused float totals.
 
         Called by the engine whenever tables are rewritten wholesale
         (restore / re-bootstrap): the compensation terms describe rounding
-        error of sums that no longer exist.  A no-op for modules without the
-        float fused-total specialization.
+        error of sums that no longer exist.  ``state``, a copy taken with
+        :meth:`compensation_state` alongside a table backup, is reinstalled
+        instead — a rolled-back batch must leave the carry exactly as it
+        found it.  A no-op for modules without the float fused-total
+        specialization.
         """
         compensation = self._namespace.get("_KC")
-        if compensation:
+        if compensation is not None:
             compensation.clear()
+            if state:
+                compensation.update(state)
+
+    def compensation_state(self) -> Dict[str, float]:
+        """A copy of the fused float totals' Kahan carry (empty without one)."""
+        return dict(self._namespace.get("_KC") or {})
 
     @property
     def specializations(self) -> Dict[Tuple[str, int], str]:
@@ -469,17 +479,20 @@ class GeneratedTriggers:
 def generate_python(
     program: TriggerProgram,
     ring: Semiring = INTEGER_RING,
-    specialize: Optional[bool] = None,
+    specialize: bool = True,
 ) -> GeneratedTriggers:
     """Generate a Python module implementing the program's triggers over ``ring``.
 
-    ``specialize`` controls the hot-loop batch specialization (``None``
-    defers to ``REPRO_SPECIALIZE``, default on): over the integer ring the
-    emitted ``apply_batch`` unrolls into one statically-addressed slice per
-    trigger event — all-total events (every statement a bare-count fold) sum
-    their net tuple count with a C-level filtered comprehension and dispatch
-    a fused ``total_batch_*`` function with no delta table at all, the rest
-    count their value tuples with a C-level ``Counter.update``.  Programs
+    ``specialize`` controls the hot-loop batch specialization (default on;
+    ``False`` emits the generic grouping loop, the reference the equivalence
+    tests and the E14 benchmark compare the fast paths against — the
+    interpreted :class:`~repro.compiler.runtime.TriggerRuntime` has no fast
+    paths at all).  Over the integer ring the emitted ``apply_batch``
+    unrolls into one statically-addressed slice per trigger event —
+    all-total events (every statement a bare-count fold) sum their net tuple
+    count with a C-level filtered comprehension and dispatch a fused
+    ``total_batch_*`` function with no delta table at all, the rest count
+    their value tuples with a C-level ``Counter.update``.  Programs
     wider than :data:`~repro.compiler.cost.MAX_SPECIALIZED_EVENTS` events
     keep the generic single-pass grouping loop (one filtered pass per event
     would walk the batch too often).
@@ -524,7 +537,7 @@ def generate_python(
     # generic grouping loop — except the float field's all-total programs,
     # which fuse with Kahan compensation (checked below once the batch
     # triggers are known).
-    specialized = ring is INTEGER_RING and specialization_enabled(specialize)
+    specialized = ring is INTEGER_RING and specialize
     specs = compute_index_specs(program)
 
     writer = _Writer()
@@ -553,7 +566,7 @@ def generate_python(
     # order in play is the Kahan-compensated scalar sum, which is strictly
     # more accurate than the generic loop's left-to-right folds.
     kahan = False
-    if ring is FLOAT_FIELD and specialization_enabled(specialize):
+    if ring is FLOAT_FIELD and specialize:
         kahan = (
             bool(ordered_batch)
             and not replay_only

@@ -144,10 +144,10 @@ def journal_to_wire(
     """Encode a shard fold's index journal for the worker→coordinator wire.
 
     The partition tier's process workers (:mod:`repro.compiler.partition`)
-    journal the keys they inserted/removed exactly like the thread workers,
-    but the journal crosses a process boundary — so it travels as plain
-    lists-of-lists, the shape any serializer (pickle today, msgpack/JSON on a
-    socket tomorrow) round-trips without custom hooks.
+    journal the keys they inserted/removed exactly like the coordinator's
+    inline shard folds, but the journal crosses a process boundary — so it
+    travels as plain lists-of-lists, the shape any serializer (pickle today,
+    msgpack/JSON on a socket tomorrow) round-trips without custom hooks.
     """
     return [list(key) for key in added], [list(key) for key in removed]
 

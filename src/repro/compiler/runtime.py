@@ -25,10 +25,17 @@ evaluated once per group with the delta map bound in the environment, then
 folded with one read-modify-write per distinct target key.  Recompute
 statements run once per group over the union of affected groups.  Because the
 statements include the delta's higher-order terms in ``∆R``, the final state
-equals one-at-a-time application exactly; the PR-1-era grouped per-tuple
-replay is kept as :meth:`TriggerRuntime.apply_batch_replay` — the reference
-semantics the property tests compare against, and the fallback for events
-without a compiled batch trigger.
+equals one-at-a-time application exactly; the grouped per-tuple replay is
+kept as :meth:`TriggerRuntime.apply_batch_replay` — the reference semantics
+the property tests compare against, and the fallback for events without a
+compiled batch trigger.
+
+The runtime is the plain reference executor: it runs every batch through the
+generic group → delta table → batch trigger path and nothing else.  The
+hot-path specializations (Counter-counted delta tables, fused scalar totals,
+Kahan-compensated float totals, pooled delta buffers) exist only in the
+generated modules of :mod:`repro.compiler.codegen`, so the equivalence suites
+compare those fast paths against an independent implementation.
 
 With ``shards=N`` (N > 1) the map tables are hash-partitioned
 (:class:`~repro.compiler.sharding.ShardedMapTable`) and every batch fold
@@ -52,17 +59,11 @@ observe result deltas without diffing map states.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.algebra.lattices import SupportTier
-from repro.algebra.semirings import FLOAT_FIELD, INTEGER_RING, Semiring
-from repro.compiler.cost import (
-    MAX_SPECIALIZED_EVENTS,
-    RuntimeStatistics,
-    specialization_enabled,
-    trigger_specialization,
-)
+from repro.algebra.semirings import INTEGER_RING, Semiring
+from repro.compiler.cost import RuntimeStatistics
 from repro.compiler.indexes import IndexedMaps, SliceIndexes, compute_index_specs
 from repro.compiler.maps import dependency_depths
 from repro.compiler.partition.backends import ShardBackend, make_shard_backend
@@ -80,7 +81,7 @@ from repro.compiler.triggers import (
     TriggerProgram,
 )
 from repro.core.ast import AggSum
-from repro.core.delta import DELTA_POOL_LIMIT, build_delta_table
+from repro.core.delta import build_delta_table
 from repro.core.semantics import evaluate
 from repro.core.simplify import make_safe
 from repro.gmr.database import Database, Update
@@ -143,7 +144,6 @@ class TriggerRuntime:
         ring: Semiring = INTEGER_RING,
         shards: Optional[int] = None,
         shard_backend=None,
-        specialize: Optional[bool] = None,
     ):
         self.program = program
         self.ring = ring
@@ -169,27 +169,6 @@ class TriggerRuntime:
             self._support_relations = frozenset(
                 plan.relation for plan in maintenance.supports.values()
             )
-        # Hot-loop batch specialization (the interpreted mirror of the
-        # codegen fast paths): Counter-counted delta tables and fused
-        # bare-count totals are an int-multiplicity optimization, so they
-        # gate on the integer ring — plus the float field, whose only fast
-        # path is the Kahan-compensated fused total (order-preserving);
-        # ``specialize=None`` defers to ``REPRO_SPECIALIZE`` (default on).
-        self._specialize = (
-            ring is INTEGER_RING or ring is FLOAT_FIELD
-        ) and specialization_enabled(specialize)
-        #: Per-target Kahan compensation for the float fused-total path;
-        #: ``None`` outside the float field.  Carried across batches so a
-        #: long stream of totals keeps full compensated accuracy.
-        self._kahan: Optional[Dict[str, float]] = (
-            {} if ring is FLOAT_FIELD and self._specialize else None
-        )
-        self._specializations: Dict[Tuple[str, int], str] = {}
-        #: Lazily-built per-program batch plan: ``None`` until first use, a
-        #: ``_BatchPlan`` once built, ``False`` when the program is too wide
-        #: to specialize (one filtered pass per event would walk every batch
-        #: too often) — then ``apply_batch`` keeps the generic loop.
-        self._specialized_plan: Any = None
         #: Hash-partition count of the map tables; 1 (the default) keeps the
         #: plain-dict tables and exactly the pre-sharding code path.
         self.shards = resolve_shard_count(shards)
@@ -208,10 +187,6 @@ class TriggerRuntime:
             {name: self.make_table() for name in program.maps}, indexes=self.indexes
         )
         self.statistics = RuntimeStatistics()
-        #: Cleared per-group delta-map scratch dicts, reused across batches so
-        #: a streaming flush loop does not rebuild (and re-grow) one dict per
-        #: ``(relation, sign)`` group per flush (ROADMAP "hot-loop constants").
-        self._delta_buffers: List[MapTable] = []
         if self.shards > 1:
             self._shard_fold_inline = make_inline_shard_fold(ring)
             # Counter maps fold in ℤ whatever the session ring is.
@@ -281,10 +256,6 @@ class TriggerRuntime:
                 # A backup taken before the tier existed (or from another
                 # backend): rebuild the sidecars from the restored counters.
                 self._support_tier.bootstrap(self._counter_rows)
-        if self._kahan is not None:
-            # Compensation terms refer to the replaced table values; dropping
-            # them is always sound (it only forgoes accumulated accuracy).
-            self._kahan.clear()
 
     def writable_maps_for(self, updates: Iterable[Update]) -> set:
         """The map names the given updates' triggers can write.
@@ -356,8 +327,6 @@ class TriggerRuntime:
         self._ring_view = None
         if self._support_tier is not None:
             self._support_tier.bootstrap(self._counter_rows)
-        if self._kahan is not None:
-            self._kahan.clear()
 
     # -- update processing -----------------------------------------------------------
 
@@ -395,22 +364,7 @@ class TriggerRuntime:
         final map state equals one-at-a-time application (the batch
         statements carry the delta's higher-order interaction terms).  Events
         without a batch trigger fall back to grouped per-tuple replay.
-
-        Over the integer ring with specialization enabled (the default) the
-        grouping itself is specialized: the batch is sliced once per
-        statically-known trigger event with C-level filtered comprehensions
-        — fused totals never build a delta table, the rest count value
-        tuples through ``collections.Counter`` — instead of the generic
-        per-update Python loop.
         """
-        if self._specialize:
-            plan = self._batch_plan()
-            if plan:
-                if type(updates) is not list:
-                    updates = list(updates)
-                if updates:
-                    self._apply_batch_specialized(plan, updates, changes)
-                return
         # Under a semiring the delta tables count tuples in ℤ (counter folds
         # consume them directly; ring statements see a ``from_int`` overlay).
         delta_ring = INTEGER_RING if self._semiring else self.ring
@@ -428,12 +382,9 @@ class TriggerRuntime:
             self.statistics.updates_processed += tuple_count
             batch_trigger = self.program.batch_trigger_for(relation, sign)
             if batch_trigger is not None:
-                delta_table = build_delta_table(
-                    group, delta_ring, table=self._acquire_delta_buffer()
-                )
+                delta_table = build_delta_table(group, delta_ring)
                 if delta_table:
                     self._apply_batch_trigger(batch_trigger, delta_table, changes)
-                self._release_delta_buffer(delta_table)
                 continue
             trigger = self.program.trigger_for(relation, sign)
             if trigger is None:
@@ -442,210 +393,6 @@ class TriggerRuntime:
                 for _ in range(update.count):
                     self._apply_trigger(trigger, update.values, changes)
         self._feed_supports(groups, changes)
-
-    def _batch_plan(self):
-        """The cached specialized batch plan (``False`` when ineligible)."""
-        plan = self._specialized_plan
-        if plan is None:
-            plan = self._specialized_plan = _BatchPlan.build(self)
-        return plan
-
-    def _apply_batch_specialized(
-        self,
-        plan: "_BatchPlan",
-        updates: List[Update],
-        changes: Optional[Dict[str, MapTable]] = None,
-    ) -> None:
-        """Apply one batch through the statically-unrolled event plan.
-
-        Mirrors the generic path's observable behavior exactly: the whole
-        batch is arity-validated before any map is touched, the processed-
-        update count includes triggerless events, and every fold runs through
-        the shared increment machinery.  Events execute in static plan order
-        rather than first-seen batch order, which cannot be observed — each
-        event's fold is exact against the state it sees, so the final state
-        and the CDC net deltas agree under any event order.
-        """
-        counted = sum([update.count for update in updates])
-        compact = counted != len(updates)
-        for relation, sign, arity in plan.validations:
-            if sign is None:
-                lengths = {
-                    len(update.values) for update in updates if update.relation == relation
-                }
-            else:
-                lengths = {
-                    len(update.values)
-                    for update in updates
-                    if update.sign == sign and update.relation == relation
-                }
-            if not lengths <= {arity}:
-                self._raise_first_arity_error(updates)
-        self.statistics.updates_processed += counted
-        for relation, sign, verdict, batch_trigger in plan.batch_events:
-            if verdict == "total":
-                # Every statement is a bare-count fold: the event's net
-                # tuple count is the whole delta — no table.
-                total = sum(
-                    [
-                        update.count
-                        for update in updates
-                        if update.sign == sign and update.relation == relation
-                    ]
-                )
-                if total:
-                    self._apply_total_trigger(batch_trigger, total, changes)
-                continue
-            # Counter fast path: count the value tuples in C, then fix up
-            # compact updates (count > 1) only when present.  Counts are
-            # positive within one same-sign event, so no entry can land on
-            # zero.
-            delta_table: MapTable = Counter()
-            delta_table.update(
-                [
-                    update.values
-                    for update in updates
-                    if update.sign == sign and update.relation == relation
-                ]
-            )
-            if compact:
-                for update in updates:
-                    if (
-                        update.sign == sign
-                        and update.relation == relation
-                        and update.count != 1
-                    ):
-                        delta_table[update.values] += update.count - 1
-            if delta_table:
-                self._apply_batch_trigger(batch_trigger, delta_table, changes)
-        for relation, sign, trigger in plan.replay_events:
-            if compact:
-                values_list = []
-                for update in updates:
-                    if update.sign == sign and update.relation == relation:
-                        if update.count == 1:
-                            values_list.append(update.values)
-                        else:
-                            values_list.extend((update.values,) * update.count)
-            else:
-                values_list = [
-                    update.values
-                    for update in updates
-                    if update.sign == sign and update.relation == relation
-                ]
-            for values in values_list:
-                self._apply_trigger(trigger, values, changes)
-
-    def _raise_first_arity_error(self, updates: List[Update]) -> None:
-        """Re-raise the exact error the generic validation pass would have."""
-        for update in updates:
-            trigger = self.program.trigger_for(update.relation, update.sign)
-            if trigger is not None:
-                self._check_arity(trigger, update)
-        raise AssertionError("arity mismatch detected but not reproduced")
-
-    def _specialization_for(
-        self, event: Tuple[str, int], batch_trigger: BatchTrigger
-    ) -> str:
-        """The cached specialization verdict for one batch event.
-
-        ``"total"`` demotes to ``"counter"`` when a target map carries slice
-        indexes (nullary-key targets never do, but stay defensive): the
-        shared fold must see a delta table to journal index maintenance.
-        """
-        verdict = self._specializations.get(event)
-        if verdict is None:
-            verdict = trigger_specialization(batch_trigger)
-            if verdict == "total" and any(
-                self.index_specs.get(statement.target)
-                for statement in batch_trigger.statements
-            ):
-                verdict = "counter"
-            self._specializations[event] = verdict
-        return verdict
-
-    def _apply_total_trigger(
-        self,
-        batch_trigger: BatchTrigger,
-        total: int,
-        changes: Optional[Dict[str, MapTable]] = None,
-    ) -> None:
-        """The fused fold of an all-total batch trigger (no delta table).
-
-        Mirrors :meth:`_apply_batch_trigger` for the bare-count shape: each
-        statement's whole-batch increment is ``coefficient * total`` at the
-        empty key, folded through the shared increment path so CDC, stats and
-        sharded-table handling stay identical to the generic route.  Over the
-        float field the fold is Kahan-compensated: the per-target running
-        compensation term recovers the low-order bits each ``+=`` drops, so a
-        long stream of fused totals tracks ``math.fsum`` accuracy at straight
-        accumulation speed.
-        """
-        if self._kahan is not None:
-            for statement in batch_trigger.statements:
-                self.statistics.statements_executed += 1
-                self._fold_total_compensated(
-                    statement.target, statement.coefficient * total, changes
-                )
-            return
-        for statement in batch_trigger.statements:
-            self.statistics.statements_executed += 1
-            self._fold_increments(
-                statement.target,
-                {(): statement.coefficient * total},
-                changes,
-                None,
-                serial=statement.serial_fold,
-            )
-
-    def _fold_total_compensated(
-        self,
-        target: str,
-        increment: float,
-        changes: Optional[Dict[str, MapTable]],
-    ) -> None:
-        """One Kahan-compensated fold into a nullary-key float total."""
-        table = self.maps[target]
-        key = ()
-        if changes is not None:
-            collector = changes.get(target)
-            if collector is not None:
-                collector[key] = collector.get(key, 0.0) + increment
-        compensation = self._kahan
-        old = table.get(key, 0.0)
-        adjusted = increment - compensation.get(target, 0.0)
-        new = old + adjusted
-        compensation[target] = (new - old) - adjusted
-        self.statistics.entries_updated += 1
-        if new == 0.0:
-            if table.pop(key, None) is not None:
-                self.indexes.discard(target, key)
-        else:
-            if key not in table:
-                self.indexes.add(target, key)
-            table[key] = new
-
-    #: Upper bound on pooled delta buffers — one per concurrently live
-    #: ``(relation, sign)`` group is plenty; anything beyond is leaked churn.
-    #: Shared with the generated modules via :data:`repro.core.delta.DELTA_POOL_LIMIT`.
-    _DELTA_POOL_LIMIT = DELTA_POOL_LIMIT
-
-    def _acquire_delta_buffer(self) -> MapTable:
-        """A cleared scratch dict for one batch group's delta map."""
-        return self._delta_buffers.pop() if self._delta_buffers else {}
-
-    def _release_delta_buffer(self, table: MapTable) -> None:
-        """Return a delta buffer to the pool once its batch trigger finished.
-
-        Safe because nothing retains the table past
-        :meth:`_apply_batch_trigger`: the overlay under the reserved delta-map
-        name is popped in its ``finally`` and every increment/CDC structure is
-        a fresh dict.  On an exception the buffer is simply not released —
-        dropping it is always correct.
-        """
-        if len(self._delta_buffers) < self._DELTA_POOL_LIMIT:
-            table.clear()
-            self._delta_buffers.append(table)
 
     def apply_batch_replay(
         self, updates: Iterable[Update], changes: Optional[Dict[str, MapTable]] = None
@@ -1204,67 +951,3 @@ class TriggerRuntime:
             f"maps={len(self.maps)}, entries={self.total_map_entries()})"
         )
 
-
-class _BatchPlan:
-    """The statically-unrolled batch schedule of one specialized runtime.
-
-    Built once per program: every batch event with its specialization verdict
-    (``"total"`` / ``"counter"``), every replay-only event, and the arity
-    validations the generic grouping pass would have performed — collapsed to
-    one check per relation when both signs carry per-tuple triggers, so the
-    hot path validates with set-comprehension passes instead of a per-update
-    function call.
-    """
-
-    __slots__ = ("batch_events", "replay_events", "validations")
-
-    def __init__(self, batch_events, replay_events, validations):
-        self.batch_events = batch_events
-        self.replay_events = replay_events
-        self.validations = validations
-
-    def __bool__(self) -> bool:
-        return True
-
-    @staticmethod
-    def build(runtime: "TriggerRuntime"):
-        """The plan for ``runtime``'s program, or ``False`` when ineligible."""
-        program = runtime.program
-        order = lambda item: (item[0][0], -item[0][1])  # noqa: E731
-        batch_items = sorted(program.batch_triggers.items(), key=order)
-        replay_items = [
-            (event, trigger)
-            for event, trigger in sorted(program.triggers.items(), key=order)
-            if event not in program.batch_triggers
-        ]
-        if len(batch_items) + len(replay_items) > MAX_SPECIALIZED_EVENTS:
-            return False
-        batch_events = [
-            (relation, sign, runtime._specialization_for((relation, sign), batch_trigger), batch_trigger)
-            for (relation, sign), batch_trigger in batch_items
-        ]
-        replay_events = [
-            (relation, sign, trigger) for (relation, sign), trigger in replay_items
-        ]
-        if runtime.ring is FLOAT_FIELD and (
-            replay_events
-            or any(verdict != "total" for _r, _s, verdict, _t in batch_events)
-        ):
-            # Float accumulation is order-sensitive: only the compensated
-            # fused-total shape (nullary keys, one += per statement) is safe
-            # to specialize — Counter grouping and replay reorder the adds.
-            return False
-        arities = {
-            event: len(trigger.argument_names) for event, trigger in program.triggers.items()
-        }
-        validations = []
-        relation_covered = set()
-        for (relation, sign), arity in sorted(arities.items()):
-            if relation in relation_covered:
-                continue
-            if arities.get((relation, -sign)) == arity:
-                validations.append((relation, None, arity))
-                relation_covered.add(relation)
-            else:
-                validations.append((relation, sign, arity))
-        return _BatchPlan(batch_events, replay_events, validations)

@@ -53,12 +53,6 @@ from repro.gmr.database import Update
 #: indexes never index it, and the runtimes overlay/remove it per batch group.
 DELTA_MAP_PREFIX = "__delta__"
 
-#: How many cleared per-group delta-table buffers the compiled executors keep
-#: pooled between ``apply_batch`` calls.  Shared by ``TriggerRuntime`` and the
-#: generated trigger modules (codegen interpolates it into the emitted source)
-#: so the two hot paths can never drift apart.
-DELTA_POOL_LIMIT = 8
-
 
 def delta_map_name(relation: str) -> str:
     """The reserved name of the delta map ``∆R`` for one base relation."""
@@ -70,7 +64,7 @@ def is_delta_map(name: str) -> bool:
     return name.startswith(DELTA_MAP_PREFIX)
 
 
-def build_delta_table(updates: Iterable[Update], ring, table=None):
+def build_delta_table(updates: Iterable[Update], ring):
     """Pre-aggregate one ``(relation, sign)`` batch group into a delta map.
 
     The result is the concrete gmr ``∆R : values → multiplicity`` the batch
@@ -80,13 +74,8 @@ def build_delta_table(updates: Iterable[Update], ring, table=None):
     multiplicity lands on the ring's zero (possible in finite rings where
     ``from_int`` wraps) are dropped before the table is returned, so callers
     can treat emptiness as "this group nets to nothing".
-
-    ``table``, when given, is a cleared scratch dict to fill in place — the
-    executors pool these buffers across batches so the per-flush allocation
-    cost of a streaming workload stays constant (see ``TriggerRuntime``).
     """
-    if table is None:
-        table = {}
+    table = {}
     add, one, from_int = ring.add, ring.one, ring.from_int
     for update in updates:
         values = update.values

@@ -8,10 +8,11 @@ relations themselves are never stored or consulted after initialization.
 Two execution back ends are available:
 
 * ``backend="interpreted"`` — trigger statements are evaluated through the
-  AGCA evaluator (reference semantics, easiest to inspect);
+  AGCA evaluator (the plain reference semantics, easiest to inspect);
 * ``backend="generated"`` — trigger statements run as generated straight-line
   Python (:mod:`repro.compiler.codegen`), the analogue of the paper's NC⁰C
-  output and considerably faster.
+  output, considerably faster, and the only executor with the batch hot-path
+  specializations (``specialize=``).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class RecursiveIVM(IVMEngine):
         shard_backend: Optional[str] = None,
         normalize: Optional[bool] = None,
         verify: bool = True,
-        specialize: Optional[bool] = None,
+        specialize: bool = True,
     ):
         super().__init__(query, schema)
         if backend not in ("interpreted", "generated"):
@@ -67,13 +68,8 @@ class RecursiveIVM(IVMEngine):
         # -> 1) keeps plain dict tables and the pre-sharding code path.
         # shard_backend picks the partition tier's execution backend
         # ("inline"/"process", None -> REPRO_SHARD_BACKEND, default inline).
-        # specialize controls the hot-loop batch fast paths (Counter-counted
-        # grouping + fused bare-count totals) on both compiled executors;
-        # None defers to REPRO_SPECIALIZE (default on), and non-integer rings
-        # keep the generic path regardless.
         self.runtime = TriggerRuntime(
-            self.program, ring=ring, shards=shards, shard_backend=shard_backend,
-            specialize=specialize,
+            self.program, ring=ring, shards=shards, shard_backend=shard_backend
         )
         self._generated: Optional[GeneratedTriggers] = None
         if backend == "generated":
@@ -83,7 +79,10 @@ class RecursiveIVM(IVMEngine):
             # compile through their maintenance plan.  The module handles
             # counter maps and recomputes itself; support sidecars are fed
             # at this engine layer after each apply (the runtime owns the
-            # tier and the maps both backends share).
+            # tier and the maps both backends share).  specialize controls
+            # the module's hot-loop batch fast paths (Counter-counted
+            # grouping, fused bare-count totals, Kahan-compensated float
+            # totals); the interpreted backend has none and ignores it.
             self._generated = generate_python(self.program, ring=ring, specialize=specialize)
 
     # -- initialization from an existing database --------------------------------------

@@ -66,9 +66,11 @@ from repro.sql.frontend import is_sql, parse_sql, required_ring_name, translate
 
 #: Snapshot format tag; bump when the layout changes.  Version 2 adds the
 #: shard count and per-update net multiplicities in the history log;
-#: :meth:`Session.restore` still accepts version-1 snapshots.
-SNAPSHOT_FORMAT = "repro-session/2"
-_ACCEPTED_SNAPSHOT_FORMATS = ("repro-session/1", SNAPSHOT_FORMAT)
+#: version 3 stores the engine databases of proper-semiring sessions as
+#: integer row counts (their gmr multiplicities lose the counts).
+#: :meth:`Session.restore` still accepts version-1 and -2 snapshots.
+SNAPSHOT_FORMAT = "repro-session/3"
+_ACCEPTED_SNAPSHOT_FORMATS = ("repro-session/1", "repro-session/2", SNAPSHOT_FORMAT)
 
 
 class _CompiledGroup:
@@ -224,23 +226,27 @@ class _CompiledGroup:
         whole hierarchy.  The work counters ride along so a rolled-back
         batch's partial work does not leak into the statistics (the
         generated module's pending counters are drained on restore for the
-        same reason).
+        same reason), and so does the generated module's Kahan carry: the
+        restored totals must keep the compensation they had before the batch.
         """
         if self.runtime is None:
-            return {}, ()
+            return {}, (), {}
         names = None if updates is None else self.runtime.writable_maps_for(updates)
         counters = (
             self.statistics.updates_processed,
             self.statistics.statements_executed,
             self.statistics.entries_updated,
         )
-        return self.runtime.backup_tables(names), counters
+        compensation = (
+            self.generated.compensation_state() if self.generated is not None else {}
+        )
+        return self.runtime.backup_tables(names), counters, compensation
 
     def restore_tables(self, backup) -> None:
-        """Reinstall backed-up tables/counters and rebuild the slice indexes."""
+        """Reinstall backed-up tables/counters/Kahan carry and rebuild the indexes."""
         if self.runtime is None:
             return
-        tables, counters = backup
+        tables, counters, compensation = backup
         self.runtime.restore_tables(tables)
         (
             self.statistics.updates_processed,
@@ -249,6 +255,7 @@ class _CompiledGroup:
         ) = counters
         if self.generated is not None:
             self.generated.drain_statistics()
+            self.generated.reset_compensation(compensation)
 
     def _absorb_generated_statistics(self, update_count: int) -> None:
         statements, entries = self.generated.drain_statistics()
@@ -746,13 +753,24 @@ class Session:
         engines: Dict[str, Dict[str, list]] = {}
         for view in self._engine_views:
             db = view._engine.db
-            engines[view.name] = {
-                relation: [
-                    [list(record.values_for(db.columns(relation))), multiplicity]
-                    for record, multiplicity in gmr.items()
-                ]
-                for relation, gmr in db
-            }
+            if self.ring.is_ring:
+                engines[view.name] = {
+                    relation: [
+                        [list(record.values_for(db.columns(relation))), multiplicity]
+                        for record, multiplicity in gmr.items()
+                    ]
+                    for relation, gmr in db
+                }
+            else:
+                # A semiring's ``from_int`` is not injective (every positive
+                # count of a row maps to the same multiplicity), so the exact
+                # row counts travel instead.
+                engines[view.name] = {
+                    relation: [
+                        [list(values), count] for values, count in db.counts(relation).items()
+                    ]
+                    for relation in db.relation_names()
+                }
         snapshot: Dict[str, Any] = {
             "format": SNAPSHOT_FORMAT,
             "ring": self.ring.name,
@@ -790,10 +808,13 @@ class Session:
         serialization either way.  A recorded backend that no longer exists
         (``"thread"``, from older snapshots) revives under the default.
 
-        Under a semiring, ring-valued map entries and engine-database
-        multiplicities pass through ``ring.coerce``, so a snapshot that went
-        through JSON (which turns top-k tuples into lists) restores to the
-        semiring's own carrier values.
+        Under a semiring, ring-valued map entries pass through
+        ``ring.coerce``, so a snapshot that went through JSON (which turns
+        top-k tuples into lists) restores to the semiring's own carrier
+        values; engine databases restore from their integer row counts.
+        Version-1/-2 snapshots of semiring sessions carry engine-database
+        multiplicities instead, which are coerced and counted as one row
+        each (the counts they lost cannot be recovered).
         """
         if snapshot.get("format") not in _ACCEPTED_SNAPSHOT_FORMATS:
             raise ValueError(f"unsupported session snapshot format: {snapshot.get('format')!r}")
@@ -838,10 +859,16 @@ class Session:
             group.runtime.indexes.rebuild(group.runtime.maps)
             # Support sidecars are a function of the restored counter maps.
             group.runtime.rebuild_supports()
+        row_counts = coerce is not None and snapshot["format"] == SNAPSHOT_FORMAT
         for view_name, relations in snapshot["engine_databases"].items():
             engine = session._views[view_name]._engine
             db = Database(schema=schema, ring=ring)
             for relation, rows in relations.items():
+                if row_counts:
+                    db.apply_all(
+                        Update(1, relation, tuple(values), count) for values, count in rows
+                    )
+                    continue
                 columns = db.columns(relation)
                 contents = {
                     Record.from_values(columns, tuple(values)): (

@@ -22,8 +22,7 @@ import pytest
 
 from repro.algebra.semirings import resolve_semiring
 from repro.core.parser import parse
-from repro.gmr.database import Update
-from repro.ivm.base import result_as_mapping, results_agree
+from repro.ivm.base import results_agree
 from repro.ivm.classical import ClassicalIVM
 from repro.ivm.naive import NaiveReevaluation
 from repro.ivm.recursive import RecursiveIVM
@@ -212,11 +211,16 @@ def test_session_cdc_shadows_reconstruct_every_backend(ring_name):
 )
 def test_snapshot_restore_mid_trace(ring_name, via_json, shards):
     """Snapshot mid-churn, restore (same and different shard count), finish the
-    trace on both sessions: identical results, both equal to direct evaluation."""
+    trace on both sessions: identical results, both equal to direct evaluation.
+    The engine views (classical, naive) restore their databases' row counts:
+    a row inserted twice and deleted once must still be live afterwards."""
     ring = resolve_semiring(ring_name)
     session = Session(SCHEMA, ring=ring, shards=shards)
+    views = ("gen", "interp", "classical", "naive")
     session.view("gen", QUERY, backend="generated")
     session.view("interp", QUERY, backend="interpreted")
+    session.view("classical", QUERY, backend="classical")
+    session.view("naive", QUERY, backend="naive")
     generator = StreamGenerator(
         SCHEMA, domains={"S": SCORES}, seed=17, default_domain_size=5, delete_fraction=0.3
     )
@@ -238,7 +242,7 @@ def test_snapshot_restore_mid_trace(ring_name, via_json, shards):
         ("restored", restored),
         ("restored-resharded", restored_resharded),
     ):
-        for view_name in ("gen", "interp"):
+        for view_name in views:
             view = candidate.views[view_name]
             assert view.result_mapping() == expected, f"{label}/{view_name}"
 

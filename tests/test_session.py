@@ -462,6 +462,18 @@ def test_restore_rejects_unknown_format_and_ring():
         Session.restore({**snapshot, "ring": "martian"})
 
 
+def test_restore_accepts_older_snapshot_formats():
+    """Over a ring, versions 1-3 share the engine-database layout (version 3
+    only changes it for proper semirings), so older snapshots still revive."""
+    session = Session({"R": ("A",)})
+    session.view("q", "Sum(R(x))")
+    session.view("qn", "Sum(R(x) * x)", backend="naive")
+    session.apply_all(make_stream(length=40, seed=5, schema={"R": ("A",)}))
+    for version in ("repro-session/1", "repro-session/2"):
+        restored = Session.restore({**session.snapshot(), "format": version})
+        assert restored.results() == session.results(), version
+
+
 def test_snapshot_plus_replayed_deltas_reproduce_final_result():
     """The acceptance-criteria flow: snapshot mid-stream, subscribe, replay."""
     session = Session(RS_SCHEMA)
@@ -689,6 +701,36 @@ def test_poisoned_single_update_on_engine_is_isolated():
         session.apply_batch([insert("W", "a", 1), insert("W", "c", "boom")])
     assert view.result() == before
     assert session._views["w"]._engine.db.size("W") == 2
+
+
+def test_rollback_restores_the_generated_kahan_carry():
+    """Regression: rollback restored the tables but left the generated
+    module's Kahan carry (``_KC``) post-batch, so later fused float totals
+    drifted from a session that never saw the poisoned batch."""
+    from repro.algebra.semirings import FLOAT_FIELD
+    from repro.gmr.database import Update
+
+    def session_after(poisoned):
+        session = Session({"R": ("A",)}, ring=FLOAT_FIELD)
+        session.view("total", "Sum(R(x))", backend="generated")
+        # Sum(R(x) * x) over a string value raises on the naive view, after
+        # the generated total has already folded the batch.
+        session.view("weighted", "Sum(R(x) * x)", backend="naive")
+        session.apply_batch([Update(1, "R", (0,), 10**16)])
+        for value in range(1, 4):
+            session.apply_batch([insert("R", value)])
+        generated = session._groups["generated"].generated
+        carry = generated.compensation_state()
+        if poisoned:
+            with pytest.raises(ValueError):
+                session.apply_batch([insert("R", "boom")])
+            assert generated.compensation_state() == carry
+        for value in range(10, 15):
+            session.apply_batch([insert("R", value)])
+        return session["total"].result()
+
+    assert session_after(poisoned=True) == session_after(poisoned=False)
+    assert session_after(poisoned=False) == 1.0000000000000008e16
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
-"""Hot-loop batch specialization (PR 9).
+"""Hot-loop batch specialization of the generated executor (PR 9).
 
-The contract under test: with ``specialize=True`` (the default) both compiled
-executors fold eligible Z-ring batches through statically-unrolled fast paths
-— fused scalar totals for bare counts, ``collections.Counter`` grouping for
-everything else — and are *indistinguishable* from the generic
-(pre-specialization) path: same states, same results, same ``on_change``
-payloads, same errors.  Ineligible programs (non-integer rings, too many
-trigger events) silently keep the generic path.
+The contract under test: with ``specialize=True`` (the default) the
+generated module folds eligible Z-ring batches through statically-unrolled
+fast paths — fused scalar totals for bare counts, ``collections.Counter``
+grouping for everything else — and is *indistinguishable* from two
+independent references: the plain interpreter (``TriggerRuntime``, which has
+no fast paths) and codegen's own generic path (``specialize=False``).  Same
+states, same results, same ``on_change`` payloads, same errors.  Ineligible
+programs (non-integer rings, too many trigger events) silently keep the
+generic path.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from repro.algebra.semirings import FLOAT_FIELD
 from repro.compiler.cost import (
     MAX_SPECIALIZED_EVENTS,
     batch_specialization_class,
-    specialization_enabled,
     trigger_specialization,
 )
 from repro.core.parser import parse
@@ -63,7 +64,7 @@ def _random_trace(rng, schema, length, domain=9):
     return updates
 
 
-def _engines(name, backend, specialize):
+def _engines(name, backend, specialize=True):
     text, schema, _ = QUERIES[name]
     engine = RecursiveIVM(parse(text), schema, backend=backend, specialize=specialize)
     cdc = []
@@ -71,17 +72,25 @@ def _engines(name, backend, specialize):
     return engine, cdc
 
 
-@pytest.mark.parametrize("backend", COMPILED_BACKENDS)
+#: The references the specialized generated module is checked against: the
+#: plain interpreter, and the generated module's own generic path.
+REFERENCES = {
+    "interpreted": lambda name: _engines(name, "interpreted"),
+    "generated": lambda name: _engines(name, "generated", specialize=False),
+}
+
+
+@pytest.mark.parametrize("reference", sorted(REFERENCES))
 @pytest.mark.parametrize("name", sorted(QUERIES))
-def test_specialized_matches_generic_state_and_cdc(name, backend):
+def test_specialized_matches_generic_state_and_cdc(name, reference):
     """The acceptance property: on mixed per-tuple/batched traces with compact
-    multiplicities, the specialized executor is byte-identical to the generic
-    one — results, full map states, and CDC payloads — including across a
-    snapshot/restore taken mid-trace."""
-    rng = random.Random(hash((name, backend)) & 0xFFFF)
+    multiplicities, the specialized generated executor is byte-identical to
+    the reference — results, full map states, and CDC payloads — including
+    across a snapshot/restore taken mid-trace."""
+    rng = random.Random(hash((name, reference)) & 0xFFFF)
     _, schema, _ = QUERIES[name]
-    generic, generic_cdc = _engines(name, backend, specialize=False)
-    special, special_cdc = _engines(name, backend, specialize=True)
+    generic, generic_cdc = REFERENCES[reference](name)
+    special, special_cdc = _engines(name, "generated")
     snapshots = None
     for step in range(10):
         if rng.random() < 0.3:
@@ -92,9 +101,9 @@ def test_specialized_matches_generic_state_and_cdc(name, backend):
             batch = _random_trace(rng, schema, rng.choice([4, 60, 150]))
             generic.apply_batch(batch)
             special.apply_batch(batch)
-        assert special.result() == generic.result(), (name, backend, step)
-        assert special_cdc == generic_cdc, (name, backend, step)
-        assert special.runtime.maps == generic.runtime.maps, (name, backend, step)
+        assert special.result() == generic.result(), (name, reference, step)
+        assert special_cdc == generic_cdc, (name, reference, step)
+        assert special.runtime.maps == generic.runtime.maps, (name, reference, step)
         if step == 4:
             snapshots = (generic.state_backup(), special.state_backup())
     generic.state_restore(snapshots[0])
@@ -111,9 +120,9 @@ def test_specialized_batch_equals_per_tuple_replay(backend):
     """Folding one batch specialized equals applying its tuples one at a time."""
     for name, (text, schema, _) in QUERIES.items():
         trace = _random_trace(random.Random(len(name)), schema, 200)
-        batched = RecursiveIVM(parse(text), schema, backend=backend, specialize=True)
+        batched = RecursiveIVM(parse(text), schema, backend=backend)
         batched.apply_batch(trace)
-        sequential = RecursiveIVM(parse(text), schema, backend=backend, specialize=True)
+        sequential = RecursiveIVM(parse(text), schema, backend=backend)
         sequential.apply_all(trace)
         assert batched.result() == sequential.result(), (name, backend)
 
@@ -137,7 +146,7 @@ def test_codegen_reports_specialization_classes():
 def test_specialization_classes_in_cost_model():
     """The static classifier distinguishes fused totals from bare counts that
     an unfusable event pins to the generic path."""
-    engine = RecursiveIVM(parse("Sum(R(x))"), {"R": ("A",)}, specialize=True)
+    engine = RecursiveIVM(parse("Sum(R(x))"), {"R": ("A",)})
     for trigger in engine.program.batch_triggers.values():
         assert trigger_specialization(trigger) == "total"
         for statement in trigger.statements:
@@ -145,7 +154,6 @@ def test_specialization_classes_in_cost_model():
     joined = RecursiveIVM(
         parse("AggSum([a], R(a, b) * S(b, c) * c)"),
         {"R": ("A", "B"), "S": ("B", "C")},
-        specialize=True,
     )
     classes = {
         batch_specialization_class(statement, trigger)
@@ -162,24 +170,23 @@ def test_specialization_classes_in_cost_model():
     assert batch_specialization_class(bare, trigger=None) == "generic-bare-count"
 
 
-@pytest.mark.parametrize("backend", COMPILED_BACKENDS)
-def test_wide_programs_fall_back_to_generic(backend):
+def test_wide_programs_fall_back_to_generic():
     """Past MAX_SPECIALIZED_EVENTS trigger events the unrolled slices would
-    walk the batch too often: both executors keep the generic loop — and the
-    results still match a narrow reference trace."""
-    engine = RecursiveIVM(parse(WIDE_QUERY), WIDE_SCHEMA, backend=backend, specialize=True)
+    walk the batch too often: the generated module keeps the generic loop —
+    and its results still match the codegen generic path and the plain
+    interpreter."""
+    engine = RecursiveIVM(parse(WIDE_QUERY), WIDE_SCHEMA, backend="generated")
     events = len(engine.program.triggers)
     assert events > MAX_SPECIALIZED_EVENTS
-    if backend == "generated":
-        assert engine._generated.specializations == {}
-        assert "def apply_batch" in engine._generated.source
-    else:
-        assert engine.runtime._batch_plan() is False
-    generic = RecursiveIVM(parse(WIDE_QUERY), WIDE_SCHEMA, backend=backend, specialize=False)
+    assert engine._generated.specializations == {}
+    assert "def apply_batch" in engine._generated.source
+    generic = RecursiveIVM(parse(WIDE_QUERY), WIDE_SCHEMA, backend="generated", specialize=False)
+    interpreted = RecursiveIVM(parse(WIDE_QUERY), WIDE_SCHEMA, backend="interpreted")
     trace = _random_trace(random.Random(3), WIDE_SCHEMA, 250, domain=5)
-    engine.apply_batch(trace)
-    generic.apply_batch(trace)
-    assert engine.result() == generic.result()
+    for reference in (engine, generic, interpreted):
+        reference.apply_batch(trace)
+    assert engine.result() == generic.result() == interpreted.result()
+    assert engine.runtime.maps == interpreted.runtime.maps
 
 
 @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
@@ -222,19 +229,6 @@ def test_arity_error_parity(backend):
     assert outcomes[False] == outcomes[True]
     if backend == "interpreted":
         assert outcomes[True][0] is not str and outcomes[True][0] != "ok"
-
-
-def test_specialize_env_knob(monkeypatch):
-    monkeypatch.delenv("REPRO_SPECIALIZE", raising=False)
-    assert specialization_enabled(None) is True
-    monkeypatch.setenv("REPRO_SPECIALIZE", "0")
-    assert specialization_enabled(None) is False
-    assert specialization_enabled(True) is True  # explicit argument wins
-    engine = RecursiveIVM(parse("Sum(R(x))"), {"R": ("A",)}, backend="generated")
-    assert engine._generated.specializations == {}
-    monkeypatch.setenv("REPRO_SPECIALIZE", "1")
-    engine = RecursiveIVM(parse("Sum(R(x))"), {"R": ("A",)}, backend="generated")
-    assert engine._generated.specializations
 
 
 # ---------------------------------------------------------------------------
